@@ -7,9 +7,13 @@
 //! If the per-instruction path allocated anything, the run that executes
 //! ~100× more dynamic instructions would allocate more. The counts must be
 //! exactly equal.
+//!
+//! The counter is per thread: the harness runs tests concurrently, and a
+//! process-wide count would charge each test's window with the others'
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use supersym_isa::{AsmBuilder, IntReg, Program};
 use supersym_machine::presets;
@@ -18,11 +22,21 @@ use supersym_trace::{NullSink, TimelineSink};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and
+    /// destructor-free, so bumping it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails instead of panicking once the thread's locals are
+    // gone; a panic inside the allocator would abort the process.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,9 +69,9 @@ fn counted_loop(iters: i64) -> Program {
 }
 
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let value = f();
-    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (value, ALLOCATIONS.with(Cell::get) - before)
 }
 
 #[test]
@@ -165,6 +179,30 @@ fn sink_off_paths_allocate_nothing_per_instruction() {
     assert_eq!(
         metrics_short, metrics_long,
         "MetricsSink recorded with per-instruction allocations"
+    );
+}
+
+#[test]
+fn timeline_sink_allocates_nothing_per_instruction() {
+    // The timeline emitter renders every event into one buffer it reuses,
+    // so a run's allocations (lane tables, buffer growth) must not depend
+    // on how many instructions it streams.
+    let short = counted_loop(10);
+    let long = counted_loop(1000);
+    let config = presets::ideal_superscalar(4);
+    let run = |program: &Program| {
+        let mut sink = TimelineSink::new(std::io::sink());
+        simulate_with_sink(program, &config, SimOptions::default(), &mut sink).unwrap();
+        sink.finish().unwrap();
+    };
+
+    run(&short);
+
+    let (_, timeline_short) = allocations_during(|| run(&short));
+    let (_, timeline_long) = allocations_during(|| run(&long));
+    assert_eq!(
+        timeline_short, timeline_long,
+        "TimelineSink allocated per dynamic instruction"
     );
 }
 

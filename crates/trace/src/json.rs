@@ -121,9 +121,9 @@ fn newline_indent(out: &mut String, indent: Option<usize>) {
     }
 }
 
-/// Formats a `u64` without going through `format!` (the hot path of the
-/// JSON-lines sink writes several per instruction).
-fn format_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
+/// Formats a `u64` without going through `format!` (the hot paths of the
+/// JSON-lines and timeline sinks write several per instruction).
+pub(crate) fn format_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
     let mut at = buf.len();
     loop {
         at -= 1;
@@ -139,20 +139,31 @@ fn format_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
 /// Appends `s` as a quoted JSON string, escaping quotes, backslashes and
 /// control characters.
 pub fn escape_into(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Every byte that needs escaping is ASCII, and so a char boundary:
+    // the runs between them are copied whole.
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..at]);
+        run = at + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -223,6 +234,9 @@ mod tests {
         let mut out = String::new();
         escape_into("a\nb\u{1}", &mut out);
         assert_eq!(out, "\"a\\nb\\u0001\"");
+        out.clear();
+        escape_into("\r\t\u{1f}é\"\\z", &mut out);
+        assert_eq!(out, "\"\\r\\t\\u001fé\\\"\\\\z\"");
     }
 
     #[test]

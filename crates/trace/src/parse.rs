@@ -187,14 +187,18 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-borrow the full char (multi-byte UTF-8 is legal
-                    // unescaped in JSON strings).
-                    self.at -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
+                    // Copy the run of unescaped bytes up to the next quote,
+                    // backslash or end of input in one piece (multi-byte
+                    // UTF-8 is legal unescaped in JSON strings). Those stops
+                    // are char boundaries, so only the run itself needs
+                    // decoding, which keeps the parse linear.
+                    let start = self.at - 1;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.at += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.at])
                         .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.at += ch.len_utf8();
+                    out.push_str(run);
                 }
             }
         }

@@ -1454,3 +1454,47 @@ fn timeline_lane_occupancy_is_conserved() {
         }
     }
 }
+
+/// Real timelines pass the validator, not just toy ones: the Small-suite
+/// ccom, the smallest Small timeline (~2.9 MB), compiled and simulated
+/// into one document on MultiTitan and on CRAY-1.
+#[test]
+fn full_size_timelines_pass_the_validator() {
+    use supersym::isa::InstrClass;
+    use supersym::sim::simulate_with_sink;
+    use supersym::trace::{validate_timeline, TimelineSink};
+    use supersym::workloads::{suite, Size};
+    let ccom = suite(Size::Small)
+        .into_iter()
+        .find(|workload| workload.name == "ccom")
+        .expect("ccom is in the Small suite");
+    for machine in [presets::multititan(), presets::cray1()] {
+        let lanes: Vec<String> = machine
+            .functional_units()
+            .iter()
+            .map(|unit| unit.name().to_string())
+            .collect();
+        let class_lane: Vec<(String, usize)> = InstrClass::ALL
+            .iter()
+            .map(|&class| (class.mnemonic().to_string(), machine.unit_of(class)))
+            .collect();
+        let mut sink = TimelineSink::new(Vec::new()).with_pipeline_lanes(lanes, class_lane);
+        let options = CompileOptions::new(OptLevel::O4, &machine);
+        let program =
+            supersym::compile_with_trace(&ccom.source, &options, &mut sink).expect("ccom compiles");
+        let run = simulate_with_sink(&program, &machine, SimOptions::default(), &mut sink)
+            .expect("ccom terminates");
+        let text = String::from_utf8(sink.finish().expect("in-memory timeline"))
+            .expect("timelines are utf-8");
+        assert!(
+            text.len() > 2_000_000,
+            "ccom on {}: only {} timeline bytes",
+            machine.name(),
+            text.len()
+        );
+        let report = validate_timeline(&text)
+            .unwrap_or_else(|error| panic!("ccom on {}: {error}", machine.name()));
+        // One span per dynamic instruction, plus counters and phases.
+        assert!(report.events as u64 > run.instructions());
+    }
+}
