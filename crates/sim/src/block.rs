@@ -46,6 +46,7 @@
 
 use crate::error::SimError;
 use crate::exec::{ControlEvent, Executor, StepInfo};
+use crate::report::Events;
 use crate::timing::{IssueDetail, IssueRecord, StallCause, TimingModel, NUM_STALL_KINDS};
 use supersym_isa::{Program, Reg, NUM_CLASSES};
 use supersym_trace::MetricsRegistry;
@@ -210,6 +211,20 @@ struct ReplayStep {
     def_writer: u64,
 }
 
+impl ReplayStep {
+    /// The issue record the exact model produced for this step, at entry
+    /// cycle `base`.
+    fn record(&self, base: u64) -> IssueRecord {
+        IssueRecord {
+            issue: base + self.issue_rel,
+            complete: base + self.complete_rel,
+            drain: base + self.drain_rel,
+            wait: self.wait,
+            cause: self.cause,
+        }
+    }
+}
+
 /// The aggregated effect of a whole trace on the timing model — what a
 /// fully verified replay applies in O(footprint) instead of O(length).
 #[derive(Debug, Clone, Default)]
@@ -300,11 +315,12 @@ pub(crate) enum BlockStart {
 /// Outcome of a bulk trace replay ([`BlockCache::replay_trace`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TraceRun {
-    /// Every step verified; the summary has been applied.
+    /// The summary has been applied: every step verified, or all but the
+    /// final step's control outcome (a loop exit), which was applied live.
     Completed,
     /// Verification failed at this step: the verified prefix has been
-    /// materialized; the caller issues the carried step (and the rest of
-    /// the trace) exactly.
+    /// materialized; the caller issues the carried step exactly, and the
+    /// step after it starts a new trace.
     Diverged(StepInfo),
     /// The executor stream ended mid-replay. Unreachable in practice
     /// (`Halt` always ends a trace), but handled so replay state can never
@@ -756,10 +772,14 @@ impl BlockCache {
     /// recorded per-step values are what the exact model would have
     /// written — and the diverging step is handed back for exact issue.
     ///
+    /// Each verified step's issue event comes from its recorded values, so
+    /// a listening `events` sees what the exact model would have issued.
+    ///
     /// # Errors
     ///
     /// Propagates executor faults.
-    pub(crate) fn replay_trace(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn replay_trace<E: Events>(
         &mut self,
         block: u32,
         variant: u32,
@@ -767,6 +787,7 @@ impl BlockCache {
         first: &StepInfo,
         exec: &mut Executor<'_>,
         timing: &mut TimingModel,
+        events: &mut E,
     ) -> Result<TraceRun, SimError> {
         let v = &self.traces[block as usize].variants[variant as usize];
         let steps: &[ReplayStep] = &v.steps;
@@ -830,16 +851,18 @@ impl BlockCache {
                                 timing.control_stall_until.max(base + last.issue_rel + 1);
                         }
                     }
+                    events.issue(&info, || last.record(base));
                     break (TraceRun::Completed, steps.len() as u64);
                 }
                 // Materialize the verified prefix. Memory-scoreboard
                 // writes are skipped: verification already applied them
                 // live.
                 for prev in &steps[..pos] {
-                    apply_recorded_step(prev, base, timing, None);
+                    apply_recorded_step(prev, base, timing);
                 }
                 break (TraceRun::Diverged(info), pos as u64);
             }
+            events.issue(&info, || steps[pos].record(base));
             pos += 1;
             if pos == steps.len() {
                 apply_summary(summary, base, timing, summary.end_csu_rel);
@@ -860,65 +883,23 @@ impl BlockCache {
             self.reentry_loc = u64::MAX;
         }
         self.stats.replayed_instructions += replayed;
-        if matches!(outcome, TraceRun::Diverged(_)) {
-            self.stats.fallbacks += 1;
+        match outcome {
+            TraceRun::Completed => events.block_replay(v.hot[0].loc, base, replayed as u32, true),
+            TraceRun::Diverged(_) => {
+                self.stats.fallbacks += 1;
+                events.block_replay(v.hot[0].loc, base, replayed as u32, false);
+            }
+            TraceRun::Ended => {}
         }
         Ok(outcome)
-    }
-
-    /// Replays step `pos` of the chosen variant one instruction at a time
-    /// (the sink-attached path, which must emit per-instruction records):
-    /// verifies the step, then applies the recorded state updates with
-    /// live memory effects. Returns the issue record and whether the trace
-    /// is finished, or `None` (leaving the state untouched — the eager
-    /// per-step application means the prefix is already exact) when
-    /// verification fails.
-    pub(crate) fn replay_step(
-        &mut self,
-        block: u32,
-        variant: u32,
-        pos: u32,
-        base: u64,
-        info: &StepInfo,
-        timing: &mut TimingModel,
-    ) -> Option<(IssueRecord, bool)> {
-        let v = &self.traces[block as usize].variants[variant as usize];
-        let step = &v.steps[pos as usize];
-        if packed_loc(info) != step.loc
-            || info.control != step.control
-            || info.vlen != step.expected_vlen
-        {
-            return None;
-        }
-        if let Some((addr, _)) = info.mem {
-            let span = (info.vlen.max(1)) as usize;
-            let mut constraint = 0_u64;
-            for a in addr..(addr + span).min(timing.mem_ready.len()) {
-                constraint = constraint.max(timing.mem_ready.get(a));
-            }
-            if constraint.saturating_sub(base) != step.mem_rel {
-                return None;
-            }
-        }
-        let record = apply_recorded_step(step, base, timing, Some(info));
-        let done = pos + 1 == v.summary.len;
-        self.stats.replayed_instructions += 1;
-        Some((record, done))
     }
 }
 
 /// Applies one recorded step's state updates — the same writes
-/// [`TimingModel::issue_with_detail`] performs, fed from recorded values.
-///
-/// With `live` present (per-step replay), memory-scoreboard writes use the
-/// live addresses; without it (prefix materialization), they are skipped
-/// because bulk verification already applied them.
-fn apply_recorded_step(
-    step: &ReplayStep,
-    base: u64,
-    timing: &mut TimingModel,
-    live: Option<&StepInfo>,
-) -> IssueRecord {
+/// [`TimingModel::issue_with_detail`] performs, fed from recorded values —
+/// except the memory-scoreboard writes, which bulk verification already
+/// applied live.
+fn apply_recorded_step(step: &ReplayStep, base: u64, timing: &mut TimingModel) {
     let t = base + step.issue_rel;
     let complete = base + step.complete_rel;
     let drain = base + step.drain_rel;
@@ -950,14 +931,6 @@ fn apply_recorded_step(
         timing.reg_ready[step.def_dense as usize] = base + step.def_ready_rel;
         timing.reg_writer[step.def_dense as usize] = step.def_writer;
     }
-    if let Some(info) = live {
-        if let Some((addr, true)) = info.mem {
-            let span = (info.vlen.max(1)) as usize;
-            for a in addr..(addr + span).min(timing.mem_ready.len()) {
-                timing.mem_ready.set(a, drain);
-            }
-        }
-    }
     timing.last_completion = timing.last_completion.max(drain);
     // The recorded control outcome is verified equal to the live one, so
     // applying from the recording is applying the live behaviour.
@@ -977,13 +950,6 @@ fn apply_recorded_step(
         }
     }
     timing.instructions += 1;
-    IssueRecord {
-        issue: t,
-        complete,
-        drain,
-        wait: step.wait,
-        cause: step.cause,
-    }
 }
 
 /// Applies a trace's aggregated state delta after full verification.

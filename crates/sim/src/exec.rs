@@ -345,7 +345,11 @@ impl<'p> Executor<'p> {
     ///
     /// Propagates memory faults, call-stack overflow, step-limit overruns,
     /// and falling off the end of a function.
-    #[inline]
+    // Always inlined: the simulation loops are generic over their event
+    // target, and with a plain `#[inline]` LLVM calls an out-of-line copy
+    // from each instantiation instead, which made the benchmark's sweep
+    // and profile workloads about 30% slower on a 2-vCPU Xeon.
+    #[inline(always)]
     pub fn step(&mut self) -> Result<Option<StepInfo>, SimError> {
         if self.halted {
             return Ok(None);

@@ -3,8 +3,8 @@
 use crate::block::{BlockCache, BlockCacheStats, BlockStart};
 use crate::cache::{CacheConfig, CacheStats, CacheSystem};
 use crate::error::SimError;
-use crate::exec::{ExecOptions, Executor};
-use crate::timing::{CycleAccount, TimingModel};
+use crate::exec::{ExecOptions, Executor, StepInfo};
+use crate::timing::{CycleAccount, IssueRecord, TimingModel};
 use supersym_isa::{ClassCensus, Program};
 use supersym_machine::MachineConfig;
 use supersym_trace::{BlockReplayEvent, IssueEvent, TraceSink};
@@ -146,15 +146,19 @@ pub fn simulate(
     config: &MachineConfig,
     options: SimOptions,
 ) -> Result<SimReport, SimError> {
-    run_lockstep(program, config, options, None)
+    run_lockstep(program, config, options, ())
 }
 
 /// Runs a program on a machine description, streaming one
-/// [`IssueEvent`] per dynamic instruction to `sink`.
+/// [`IssueEvent`] per dynamic instruction to `sink`, plus one
+/// [`BlockReplayEvent`] per block-cache replay.
 ///
-/// The sink-free [`simulate`] path takes the same code path with no sink
-/// attached; the difference per instruction is one branch and zero heap
-/// allocations (asserted by the `no_alloc` integration test).
+/// The run takes the same loop as [`simulate`], where the event calls
+/// compile away, and reports the same, block-cache counters included. A
+/// replayed instruction's event comes from the trace's recording, which
+/// holds the exact model's own values; every other instruction's comes
+/// from the live issue. Neither path allocates per instruction (asserted
+/// by the `no_alloc` integration test).
 ///
 /// # Errors
 ///
@@ -165,45 +169,59 @@ pub fn simulate_with_sink(
     options: SimOptions,
     sink: &mut dyn TraceSink,
 ) -> Result<SimReport, SimError> {
-    run_lockstep(program, config, options, Some(sink))
+    run_lockstep(program, config, options, sink)
 }
 
-/// Where the lockstep driver is within the current trace.
-///
-/// `Copy`, matched by value and reassigned explicitly — the state machine
-/// only ever moves forward within a trace and resets at its boundary.
-/// `entry` is the packed trace-entry location throughout (for the break
-/// rule's loop-closure test and the telemetry event).
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    /// The next step enters a new trace; ask the cache what to do.
-    Boundary,
-    /// Run the exact model to the end of the trace (post-fallback).
-    Exact { entry: u64 },
-    /// Run the exact model, capturing a recording for `block`.
-    Recording { block: u32, entry: u64 },
-    /// Replay a recorded variant, verifying each step.
-    Replaying {
-        block: u32,
-        variant: u32,
-        /// Steps replayed so far (index of the next step).
-        pos: u32,
-        /// Entry cycle the deltas are applied against.
-        base: u64,
-        entry: u64,
-    },
+/// Where a simulation loop sends its telemetry: `()` for [`simulate`],
+/// where every call compiles away, or the sink of [`simulate_with_sink`].
+pub(crate) trait Events {
+    /// One dynamic instruction issued; `record` is evaluated only when
+    /// something listens.
+    fn issue(&mut self, info: &StepInfo, record: impl FnOnce() -> IssueRecord);
+
+    /// A replay of the trace entered at packed location `entry` and cycle
+    /// `base` ended: its summary applied (`hit`), or its verified prefix of
+    /// `instructions` materialized.
+    fn block_replay(&mut self, entry: u64, base: u64, instructions: u32, hit: bool);
 }
 
-fn issue_event(info: &crate::exec::StepInfo, record: crate::timing::IssueRecord) -> IssueEvent {
-    IssueEvent {
-        func: info.func.index() as u32,
-        pc: info.pc as u64,
-        class: info.class.mnemonic(),
-        issue: record.issue,
-        complete: record.complete,
-        drain: record.drain,
-        wait: record.wait,
-        cause: record.cause.map(|cause| cause.label()),
+impl Events for () {
+    #[inline(always)]
+    fn issue(&mut self, _: &StepInfo, _: impl FnOnce() -> IssueRecord) {}
+
+    #[inline(always)]
+    fn block_replay(&mut self, _: u64, _: u64, _: u32, _: bool) {}
+}
+
+impl Events for &mut dyn TraceSink {
+    fn issue(&mut self, info: &StepInfo, record: impl FnOnce() -> IssueRecord) {
+        let record = record();
+        TraceSink::issue(
+            &mut **self,
+            &IssueEvent {
+                func: info.func.index() as u32,
+                pc: info.pc as u64,
+                class: info.class.mnemonic(),
+                issue: record.issue,
+                complete: record.complete,
+                drain: record.drain,
+                wait: record.wait,
+                cause: record.cause.map(|cause| cause.label()),
+            },
+        );
+    }
+
+    fn block_replay(&mut self, entry: u64, base: u64, instructions: u32, hit: bool) {
+        TraceSink::block_replay(
+            &mut **self,
+            &BlockReplayEvent {
+                func: (entry >> 32) as u32,
+                pc: entry & 0xFFFF_FFFF,
+                cycle: base,
+                instructions,
+                hit,
+            },
+        );
     }
 }
 
@@ -211,46 +229,43 @@ fn run_lockstep(
     program: &Program,
     config: &MachineConfig,
     options: SimOptions,
-    mut sink: Option<&mut dyn TraceSink>,
+    mut events: impl Events,
 ) -> Result<SimReport, SimError> {
     let mut exec = Executor::new(program, options.exec)?;
     let mut timing = TimingModel::new(config, options.exec.memory_words);
     timing.track_producers(program);
     let stats = if options.block_cache {
         let mut cache = BlockCache::new(program, &timing);
-        match sink.as_deref_mut() {
-            None => run_bulk(&mut cache, &mut exec, &mut timing)?,
-            Some(sink) => run_cached_with_sink(&mut cache, &mut exec, &mut timing, sink)?,
-        }
+        run_bulk(&mut cache, &mut exec, &mut timing, &mut events)?;
         cache.stats
     } else {
-        // Cache off: the plain lockstep loop, no trace bookkeeping at all.
+        // Cache off: the exact reference loop, no trace bookkeeping at all.
         while let Some(info) = exec.step()? {
             let record = timing.issue(&info);
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.issue(&issue_event(&info, record));
-            }
+            events.issue(&info, || record);
         }
         BlockCacheStats::default()
     };
     Ok(finish_report(program, config, &exec, &timing, stats))
 }
 
-/// The sink-free cached loop — the hot path behind [`simulate`]. Replays
-/// defer all timing-state writes to one aggregated delta per trace, so a
-/// verified step costs a few compares plus the live memory effects.
+/// The cached loop behind both [`simulate`] and [`simulate_with_sink`].
+/// Replays defer all timing-state writes to one aggregated delta per
+/// trace, so a verified step costs a few compares plus the live memory
+/// effects.
 ///
 /// Structured as nested loops rather than a per-step mode dispatch: each
-/// trace visit runs one tight inner loop (replay, record, or exact tail)
-/// with its state in locals, and `'trace` restarts at the next boundary.
+/// trace visit runs one tight inner loop (replay or record) with its state
+/// in locals, and `'trace` restarts at the next boundary.
 ///
 /// The executor only returns `None` after a `Halt` step, and `Halt` always
 /// ends a trace — so the inner loops' "stream ended" breaks are
 /// unreachable-in-practice guards, not trace-state leaks.
-fn run_bulk(
+fn run_bulk<E: Events>(
     cache: &mut BlockCache,
     exec: &mut Executor<'_>,
     timing: &mut TimingModel,
+    events: &mut E,
 ) -> Result<(), SimError> {
     use crate::block::{packed_loc, trace_break, TraceRun, MAX_TRACE_LEN};
     'trace: loop {
@@ -265,6 +280,7 @@ fn run_bulk(
                     cache.observe_step(&info, timing);
                     let (record, detail) = timing.issue_with_detail(&info);
                     cache.record_step(&info, record, detail);
+                    events.issue(&info, || record);
                     if trace_break(info.control, info.pc, exec.cursor(), entry)
                         || cache.recorded_len() >= MAX_TRACE_LEN
                     {
@@ -281,7 +297,7 @@ fn run_bulk(
                 block,
                 variant,
                 base,
-            } => match cache.replay_trace(block, variant, base, &first, exec, timing)? {
+            } => match cache.replay_trace(block, variant, base, &first, exec, timing, events)? {
                 TraceRun::Completed => {}
                 TraceRun::Ended => return Ok(()),
                 TraceRun::Diverged(diverged) => {
@@ -291,113 +307,13 @@ fn run_bulk(
                     // instruction starts a fresh trace, so divergent paths
                     // (loop exits, data-dependent branches) earn their own
                     // cached traces instead of replaying nothing.
-                    timing.issue(&diverged);
+                    let record = timing.issue(&diverged);
+                    events.issue(&diverged, || record);
                     continue 'trace;
                 }
             },
         }
     }
-}
-
-/// The sink-attached cached loop: replays apply state per instruction so
-/// every dynamic instruction still emits an exact [`IssueEvent`], plus one
-/// [`BlockReplayEvent`] per finished or abandoned replay.
-fn run_cached_with_sink(
-    cache: &mut BlockCache,
-    exec: &mut Executor<'_>,
-    timing: &mut TimingModel,
-    sink: &mut dyn TraceSink,
-) -> Result<(), SimError> {
-    use crate::block::{packed_loc, trace_break, MAX_TRACE_LEN};
-    let replay_event = |entry: u64, base: u64, instructions: u32, hit: bool| BlockReplayEvent {
-        func: (entry >> 32) as u32,
-        pc: entry & 0xFFFF_FFFF,
-        cycle: base,
-        instructions,
-        hit,
-    };
-    let mut mode = Mode::Boundary;
-    while let Some(info) = exec.step()? {
-        if let Mode::Boundary = mode {
-            mode = match cache.begin_block(&info, timing) {
-                BlockStart::Record { block, .. } => Mode::Recording {
-                    block,
-                    entry: packed_loc(&info),
-                },
-                BlockStart::Replay {
-                    block,
-                    variant,
-                    base,
-                } => Mode::Replaying {
-                    block,
-                    variant,
-                    pos: 0,
-                    base,
-                    entry: packed_loc(&info),
-                },
-            };
-        }
-        let record = match mode {
-            Mode::Boundary => unreachable!("boundary resolves before issue"),
-            Mode::Exact { entry } => {
-                let record = timing.issue(&info);
-                if trace_break(info.control, info.pc, exec.cursor(), entry) {
-                    mode = Mode::Boundary;
-                }
-                record
-            }
-            Mode::Recording { block, entry } => {
-                cache.observe_step(&info, timing);
-                let (record, detail) = timing.issue_with_detail(&info);
-                cache.record_step(&info, record, detail);
-                if trace_break(info.control, info.pc, exec.cursor(), entry)
-                    || cache.recorded_len() >= MAX_TRACE_LEN
-                {
-                    cache.finish_recording(block, timing);
-                    mode = Mode::Boundary;
-                }
-                record
-            }
-            Mode::Replaying {
-                block,
-                variant,
-                pos,
-                base,
-                entry,
-            } => match cache.replay_step(block, variant, pos, base, &info, timing) {
-                Some((record, done)) => {
-                    if done {
-                        sink.block_replay(&replay_event(entry, base, pos + 1, true));
-                        mode = Mode::Boundary;
-                    } else {
-                        mode = Mode::Replaying {
-                            block,
-                            variant,
-                            pos: pos + 1,
-                            base,
-                            entry,
-                        };
-                    }
-                    record
-                }
-                None => {
-                    // Verification drift: the eagerly-applied prefix is
-                    // already exact; finish the trace on the exact model.
-                    cache.stats.fallbacks += 1;
-                    sink.block_replay(&replay_event(entry, base, pos, false));
-                    let record = timing.issue(&info);
-                    mode = if trace_break(info.control, info.pc, exec.cursor(), entry) {
-                        Mode::Boundary
-                    } else {
-                        Mode::Exact { entry }
-                    };
-                    record
-                }
-            },
-        };
-        sink.issue(&issue_event(&info, record));
-    }
-    Ok(())
 }
 
 /// Resolves the timing model's flat producer table against the program and

@@ -12,11 +12,11 @@
 //! own output), and verdicts that differ between two identical runs.
 
 use crate::mutate::{mutate, Layer};
-use crate::rng::SplitMix64;
 use crate::subject::{Input, Stage, Subject, Verdict};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use supersym_rng::SplitMix64;
 
 /// Campaign parameters. Everything influencing mutant generation is
 /// deterministic; replaying with the same config reproduces the same

@@ -25,11 +25,12 @@
 //!   grid parser's axis bounds, range/list punctuation and cell-count cap,
 //!   and the machines the surviving grids enumerate.
 //!
-//! Everything is driven by the workspace's shared [`rng::SplitMix64`], so a
-//! campaign replays bit-identically from its seed: a finding's
-//! `(seed, layer, index)` triple regenerates the exact mutant. Findings
-//! are minimized (greedy line-wise ddmin under an invocation budget) and
-//! written to a crash corpus that CI replays on every run.
+//! Everything is driven by the workspace's shared
+//! [`SplitMix64`](supersym_rng::SplitMix64), so a campaign replays
+//! bit-identically from its seed: a finding's `(seed, layer, index)` triple
+//! regenerates the exact mutant. Findings are minimized (greedy line-wise
+//! ddmin under an invocation budget) and written to a crash corpus that CI
+//! replays on every run.
 //!
 //! The crate is deliberately ignorant of the pipeline it tortures — the
 //! real pipeline is plugged in via [`subject::Subject`] by the `supersym`
@@ -39,7 +40,6 @@
 
 pub mod campaign;
 pub mod mutate;
-pub mod rng;
 pub mod subject;
 
 pub use campaign::{
@@ -47,5 +47,4 @@ pub use campaign::{
     FindingKind, LayerReport,
 };
 pub use mutate::{mutate, Layer};
-pub use rng::SplitMix64;
 pub use subject::{Input, Stage, Subject, Verdict};

@@ -7,9 +7,9 @@
 //! rejects them — but each mutator starts from well-formed seed material
 //! so a useful fraction of mutants survives deep into the pipeline.
 
-use crate::rng::SplitMix64;
 use crate::subject::Input;
 use supersym_lang::ast::{BinOp, Block, Expr, Module, Stmt, UnOp};
+use supersym_rng::SplitMix64;
 
 /// The mutation layers from the robustness campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

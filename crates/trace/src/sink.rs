@@ -48,24 +48,28 @@ pub struct IssueEvent {
     pub cause: Option<&'static str>,
 }
 
-/// The simulator's block timing cache answered a block visit.
+/// The simulator's block timing cache replayed a trace.
 ///
-/// Emitted once per replayed block (not per instruction): `hit: true` when
-/// a recorded variant was applied, `hit: false` when mid-block verification
-/// failed and the run fell back to the exact model. Block visits that run
-/// exact from the start (cold blocks, summary overflows) emit nothing —
-/// their instructions appear only as ordinary [`IssueEvent`]s.
+/// Emitted once per replay (not per instruction), when it ends; the
+/// replayed instructions still each get an [`IssueEvent`]. `hit: true`
+/// when the trace's recorded summary was applied, which includes a trace
+/// whose final branch went the other way (a loop exit). `hit: false` when
+/// verification failed mid-trace: the verified prefix was applied, the
+/// diverging instruction ran on the exact model, and the next one starts a
+/// new trace. Trace visits that run exact from the start to record a new
+/// entry state emit nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockReplayEvent {
-    /// Function index of the block's entry instruction.
+    /// Function index of the trace's entry instruction.
     pub func: u32,
     /// Entry-instruction index within the function.
     pub pc: u64,
-    /// Machine cycle at block entry.
+    /// Machine cycle at trace entry.
     pub cycle: u64,
-    /// Instructions replayed before the event was emitted.
+    /// Instructions the replay served: the whole trace on a hit, the
+    /// verified prefix on a fallback.
     pub instructions: u32,
-    /// Whether the replay ran to the end of the block.
+    /// Whether the replay ran to the end of the trace.
     pub hit: bool,
 }
 

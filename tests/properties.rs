@@ -912,6 +912,32 @@ fn cycle_account_conserves_and_is_deterministic() {
     }
 }
 
+/// Folds every field of every issue event into one hash, so two runs'
+/// event streams compare without keeping them.
+#[derive(Default)]
+struct IssueStreamHash {
+    hasher: std::hash::DefaultHasher,
+    events: u64,
+}
+
+impl supersym::trace::TraceSink for IssueStreamHash {
+    fn issue(&mut self, e: &supersym::trace::IssueEvent) {
+        use std::hash::Hash;
+        (
+            e.func, e.pc, e.class, e.issue, e.complete, e.drain, e.wait, e.cause,
+        )
+            .hash(&mut self.hasher);
+        self.events += 1;
+    }
+}
+
+impl IssueStreamHash {
+    fn digest(&self) -> (u64, u64) {
+        use std::hash::Hasher;
+        (self.events, self.hasher.finish())
+    }
+}
+
 /// The block timing cache is bit-exact, not approximate: with the cache
 /// on and off, every preset machine produces byte-identical reports —
 /// cycle account, machine cycles, instruction count, census, and
@@ -919,10 +945,15 @@ fn cycle_account_conserves_and_is_deterministic() {
 /// traffic), random scheduled regions, and torture-mutated source
 /// programs (which hit the fallback and overflow paths). Errors must
 /// also agree: a trapped or fuel-exhausted run traps identically.
+///
+/// The sink-attached path is held to the same law: its issue-event
+/// stream is identical with the cache on and off, and a cached sink run
+/// reports exactly what the sink-less cached run does, block-cache
+/// counters included.
 #[test]
 fn block_cache_is_bit_exact_on_all_presets() {
     use supersym::isa::{Function, Instr, Program};
-    use supersym::sim::simulate;
+    use supersym::sim::{simulate, simulate_with_sink, SimError, SimReport};
     use supersym_torture::mutate::mutate_source;
 
     let machines = all_preset_machines();
@@ -939,57 +970,74 @@ fn block_cache_is_bit_exact_on_all_presets() {
         exec,
         block_cache: false,
     };
-    let differ = |label: &str, machine: &supersym::machine::MachineConfig, program: &Program| {
-        let a = simulate(program, machine, cached);
-        let b = simulate(program, machine, exact);
+
+    fn same_report(what: &str, a: &SimReport, b: &SimReport) {
+        assert_eq!(
+            a.cycle_account(),
+            b.cycle_account(),
+            "{what}: cycle accounts diverge"
+        );
+        assert_eq!(
+            a.machine_cycles(),
+            b.machine_cycles(),
+            "{what}: machine cycles diverge"
+        );
+        assert_eq!(
+            a.instructions(),
+            b.instructions(),
+            "{what}: instruction counts diverge"
+        );
+        assert_eq!(a.census(), b.census(), "{what}: censuses diverge");
+        assert_eq!(
+            a.critical_producers(),
+            b.critical_producers(),
+            "{what}: producer tables diverge"
+        );
+    }
+
+    /// Whether both runs completed; panics unless they agree.
+    fn same_outcome(
+        what: &str,
+        a: &Result<SimReport, SimError>,
+        b: &Result<SimReport, SimError>,
+    ) -> bool {
         match (a, b) {
             (Ok(a), Ok(b)) => {
-                assert_eq!(
-                    a.cycle_account(),
-                    b.cycle_account(),
-                    "{label} on {}: cycle accounts diverge",
-                    machine.name()
-                );
-                assert_eq!(
-                    a.machine_cycles(),
-                    b.machine_cycles(),
-                    "{label} on {}: machine cycles diverge",
-                    machine.name()
-                );
-                assert_eq!(
-                    a.instructions(),
-                    b.instructions(),
-                    "{label} on {}: instruction counts diverge",
-                    machine.name()
-                );
-                assert_eq!(
-                    a.census(),
-                    b.census(),
-                    "{label} on {}: censuses diverge",
-                    machine.name()
-                );
-                assert_eq!(
-                    a.critical_producers(),
-                    b.critical_producers(),
-                    "{label} on {}: producer tables diverge",
-                    machine.name()
-                );
+                same_report(what, a, b);
                 true
             }
             (Err(a), Err(b)) => {
-                assert_eq!(
-                    a.to_string(),
-                    b.to_string(),
-                    "{label} on {}: errors diverge",
-                    machine.name()
-                );
+                assert_eq!(a.to_string(), b.to_string(), "{what}: errors diverge");
                 false
             }
-            (a, b) => panic!(
-                "{label} on {}: cached/exact outcomes diverge: {a:?} vs {b:?}",
-                machine.name()
-            ),
+            (a, b) => panic!("{what}: outcomes diverge: {a:?} vs {b:?}"),
         }
+    }
+
+    let differ = |label: &str, machine: &supersym::machine::MachineConfig, program: &Program| {
+        let name = machine.name();
+        let a = simulate(program, machine, cached);
+        let b = simulate(program, machine, exact);
+        let mut cached_stream = IssueStreamHash::default();
+        let mut exact_stream = IssueStreamHash::default();
+        let a_sink = simulate_with_sink(program, machine, cached, &mut cached_stream);
+        let b_sink = simulate_with_sink(program, machine, exact, &mut exact_stream);
+        let completed = same_outcome(&format!("{label} on {name}"), &a, &b);
+        assert_eq!(
+            cached_stream.digest(),
+            exact_stream.digest(),
+            "{label} on {name}: issue-event streams diverge"
+        );
+        same_outcome(&format!("{label} on {name}, exact sink"), &b_sink, &b);
+        same_outcome(&format!("{label} on {name}, cached sink"), &a_sink, &a);
+        if let (Ok(a), Ok(a_sink)) = (&a, &a_sink) {
+            assert_eq!(
+                a_sink.block_cache_stats(),
+                a.block_cache_stats(),
+                "{label} on {name}: the sink run's block-cache counters diverge"
+            );
+        }
+        completed
     };
 
     // Real loop workloads: nested loops, calls, vector code.
