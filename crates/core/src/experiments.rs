@@ -1650,19 +1650,7 @@ pub struct StallBreakdownStudy {
 /// fails its conservation invariant — both indicate a simulator bug.
 #[must_use]
 pub fn stall_breakdown(size: Size) -> StallBreakdownStudy {
-    let machines = [
-        presets::base(),
-        presets::multititan(),
-        presets::cray1(),
-        presets::vliw(4),
-        presets::ideal_superscalar(2),
-        presets::ideal_superscalar(8),
-        presets::superpipelined(4),
-        presets::superpipelined_superscalar(2, 2),
-        presets::superscalar_with_class_conflicts(4),
-        presets::underpipelined_slow_cycle(),
-        presets::underpipelined_half_issue(),
-    ];
+    let machines = presets::study();
     let workloads = suite(size);
     let mut rows = Vec::new();
     for machine in &machines {
@@ -1889,19 +1877,7 @@ pub struct BoundStudy {
 /// timing model is wrong.
 #[must_use]
 pub fn bound_study(size: Size) -> BoundStudy {
-    let machines = [
-        presets::base(),
-        presets::multititan(),
-        presets::cray1(),
-        presets::vliw(4),
-        presets::ideal_superscalar(2),
-        presets::ideal_superscalar(8),
-        presets::superpipelined(4),
-        presets::superpipelined_superscalar(2, 2),
-        presets::superscalar_with_class_conflicts(4),
-        presets::underpipelined_slow_cycle(),
-        presets::underpipelined_half_issue(),
-    ];
+    let machines = presets::study();
     let workloads = suite(size);
     let mut rows = Vec::new();
     for machine in &machines {

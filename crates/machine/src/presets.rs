@@ -206,6 +206,27 @@ pub fn superscalar_with_class_conflicts(n: u32) -> MachineConfig {
     builder.build().expect("class-conflict preset is valid")
 }
 
+/// The eleven machines of the paper's studies, in study order: base,
+/// MultiTitan, CRAY-1, VLIW(4), superscalar(2) and (8),
+/// superpipelined(4), superpipelined superscalar(2,2), superscalar(4) with
+/// class conflicts, and the two underpipelined machines.
+#[must_use]
+pub fn study() -> Vec<MachineConfig> {
+    vec![
+        base(),
+        multititan(),
+        cray1(),
+        vliw(4),
+        ideal_superscalar(2),
+        ideal_superscalar(8),
+        superpipelined(4),
+        superpipelined_superscalar(2, 2),
+        superscalar_with_class_conflicts(4),
+        underpipelined_slow_cycle(),
+        underpipelined_half_issue(),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

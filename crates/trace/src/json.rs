@@ -121,8 +121,8 @@ fn newline_indent(out: &mut String, indent: Option<usize>) {
     }
 }
 
-/// Formats a `u64` without going through `format!` (the hot paths of the
-/// JSON-lines and timeline sinks write several per instruction).
+/// Formats a `u64` without going through `format!` (the timeline sink's
+/// hot path writes several per instruction).
 pub(crate) fn format_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
     let mut at = buf.len();
     loop {

@@ -14,11 +14,13 @@
 //! * [`PhaseRecord`] / [`IssueEvent`] — the two event kinds: compile phases
 //!   with wall time and counters, and per-dynamic-instruction issue records
 //!   with stall attribution.
-//! * [`NullSink`] / [`MemorySink`] / [`JsonLinesSink`] — discard, collect,
-//!   or stream as JSON lines.
+//! * [`NullSink`] / [`MemorySink`] / [`LoopCountSink`] — discard,
+//!   collect, or count loop iterations.
+//! * [`TimelineSink`] — stream a Perfetto-loadable `trace_event` timeline
+//!   (`supersym.timeline/v1`), checked by [`validate_timeline`].
 //! * [`JsonValue`] / [`JsonObject`] — a small ordered JSON document model
-//!   (the workspace builds offline; no serde), used both for the JSON-lines
-//!   stream and for `titalc profile --json`.
+//!   (the workspace builds offline; no serde), used for `titalc profile
+//!   --json` and the other JSON reports.
 //!
 //! Dependency direction: this crate is a leaf — `supersym-sim` and
 //! `supersym` (core) depend on it, never the reverse.
@@ -26,17 +28,16 @@
 //! ## Example
 //!
 //! ```
-//! use supersym_trace::{IssueEvent, JsonLinesSink, PhaseRecord, TraceSink};
+//! use supersym_trace::{IssueEvent, MemorySink, PhaseRecord, TraceSink};
 //!
-//! let mut sink = JsonLinesSink::new(Vec::new());
+//! let mut sink = MemorySink::new();
 //! sink.phase(&PhaseRecord { name: "parse", wall_ns: 1800, counters: &[("functions", 2)] });
 //! sink.issue(&IssueEvent {
 //!     func: 0, pc: 0, class: "add/sub",
 //!     issue: 0, complete: 1, drain: 1, wait: 0, cause: None,
 //! });
-//! let text = String::from_utf8(sink.finish()?)?;
-//! assert_eq!(text.lines().count(), 2);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! assert_eq!(sink.phases[0].name, "parse");
+//! assert_eq!(sink.issues.len(), 1);
 //! ```
 
 mod json;
@@ -49,8 +50,8 @@ pub use json::{escape_into, JsonObject, JsonValue};
 pub use metrics::{Histogram, Metric, MetricsRegistry, METRICS_SCHEMA};
 pub use parse::{parse_json, validate_timeline, JsonParseError, TimelineError, TimelineReport};
 pub use sink::{
-    BlockReplayEvent, IssueEvent, JsonLinesSink, LoopCountSink, MemorySink, NullSink, OwnedPhase,
-    PhaseRecord, TraceSink,
+    BlockReplayEvent, IssueEvent, LoopCountSink, MemorySink, NullSink, OwnedPhase, PhaseRecord,
+    TraceSink,
 };
 pub use timeline::{
     SweepItem, TimelineSink, PID_COMPILE, PID_SIMULATE, PID_SWEEP, TIMELINE_SCHEMA,

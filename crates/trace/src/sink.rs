@@ -10,9 +10,6 @@
 //! * [`IssueEvent`] — one per dynamic instruction: issue/complete/drain
 //!   cycles, how long it waited, and the stall cause that bound it.
 
-use crate::json::{JsonObject, JsonValue};
-use std::io::{self, Write};
-
 /// One compile phase, reported after the phase finishes.
 ///
 /// Borrowed so producers can report from stack data without allocating;
@@ -214,84 +211,6 @@ impl TraceSink for LoopCountSink {
     }
 }
 
-/// Streams events as JSON lines (one object per line) to any writer — the
-/// sink behind `titalc --trace <file>`. Write errors are sticky: the first
-/// one is kept and the sink goes quiet, so the hot path needs no `Result`.
-#[derive(Debug)]
-pub struct JsonLinesSink<W: Write> {
-    out: W,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> JsonLinesSink<W> {
-    /// Wraps a writer (hand it a `BufWriter` for file output).
-    pub fn new(out: W) -> Self {
-        JsonLinesSink { out, error: None }
-    }
-
-    /// Flushes and returns the writer, or the first write error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O error the sink swallowed while streaming.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(error) = self.error {
-            return Err(error);
-        }
-        self.out.flush()?;
-        Ok(self.out)
-    }
-
-    fn write_value(&mut self, value: &JsonValue) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(error) = writeln!(self.out, "{value}") {
-            self.error = Some(error);
-        }
-    }
-}
-
-impl<W: Write> TraceSink for JsonLinesSink<W> {
-    fn phase(&mut self, record: &PhaseRecord<'_>) {
-        let counters = record
-            .counters
-            .iter()
-            .map(|&(k, v)| (k.to_string(), JsonValue::UInt(v)))
-            .collect();
-        let value = JsonObject::new()
-            .field("event", JsonValue::str("phase"))
-            .field("name", JsonValue::str(record.name))
-            .field("wall_ns", JsonValue::UInt(clamp_u128(record.wall_ns)))
-            .field("counters", JsonValue::Object(counters))
-            .build();
-        self.write_value(&value);
-    }
-
-    fn issue(&mut self, event: &IssueEvent) {
-        let cause = match event.cause {
-            Some(label) => JsonValue::str(label),
-            None => JsonValue::Null,
-        };
-        let value = JsonObject::new()
-            .field("event", JsonValue::str("issue"))
-            .field("func", JsonValue::UInt(u64::from(event.func)))
-            .field("pc", JsonValue::UInt(event.pc))
-            .field("class", JsonValue::str(event.class))
-            .field("issue", JsonValue::UInt(event.issue))
-            .field("complete", JsonValue::UInt(event.complete))
-            .field("drain", JsonValue::UInt(event.drain))
-            .field("wait", JsonValue::UInt(event.wait))
-            .field("cause", cause)
-            .build();
-        self.write_value(&value);
-    }
-}
-
-fn clamp_u128(n: u128) -> u64 {
-    u64::try_from(n).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,80 +241,6 @@ mod tests {
         assert_eq!(sink.phases[0].name, "parse");
         assert_eq!(sink.phases[0].counters, vec![("functions".to_string(), 3)]);
         assert_eq!(sink.issues, vec![sample_issue()]);
-    }
-
-    #[test]
-    fn json_lines_sink_emits_one_object_per_line() {
-        let mut sink = JsonLinesSink::new(Vec::new());
-        sink.phase(&PhaseRecord {
-            name: "schedule",
-            wall_ns: 10,
-            counters: &[("regions", 4)],
-        });
-        sink.issue(&sample_issue());
-        let bytes = sink.finish().expect("no write errors");
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            r#"{"event":"phase","name":"schedule","wall_ns":10,"counters":{"regions":4}}"#
-        );
-        assert_eq!(
-            lines[1],
-            r#"{"event":"issue","func":0,"pc":3,"class":"load","issue":7,"complete":9,"drain":9,"wait":2,"cause":"raw_interlock"}"#
-        );
-    }
-
-    #[test]
-    fn json_lines_sink_reports_write_errors_at_finish() {
-        struct Failing;
-        impl Write for Failing {
-            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
-                Err(io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = JsonLinesSink::new(Failing);
-        sink.issue(&sample_issue());
-        sink.issue(&sample_issue()); // goes quiet after the first error
-        assert!(sink.finish().is_err());
-    }
-
-    #[test]
-    fn json_lines_sink_surfaces_torn_mid_line_writes() {
-        // Accepts `budget` bytes, then fails: the first event line tears
-        // partway through, like a disk filling mid-record. The error must
-        // surface at finish() — not panic, not silently truncate.
-        #[derive(Debug)]
-        struct Torn {
-            budget: usize,
-            written: Vec<u8>,
-        }
-        impl Write for Torn {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                if self.budget == 0 {
-                    return Err(io::Error::other("no space left on device"));
-                }
-                let n = buf.len().min(self.budget);
-                self.budget -= n;
-                self.written.extend_from_slice(&buf[..n]);
-                Ok(n)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = JsonLinesSink::new(Torn {
-            budget: 10,
-            written: Vec::new(),
-        });
-        sink.issue(&sample_issue());
-        sink.issue(&sample_issue()); // quiet: nothing appended after the tear
-        let error = sink.finish().expect_err("torn write must surface");
-        assert_eq!(error.to_string(), "no space left on device");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! costs no allocation per event. The bytes are exactly those of the same
 //! event built as a [`crate::JsonObject`] and rendered compactly.
 //!
-//! The sink follows the [`crate::sink::JsonLinesSink`] discipline: write
-//! errors are sticky (the sink goes quiet after the first) and surface at
-//! [`TimelineSink::finish`]. Lane timestamps are emitted monotonically
+//! Write errors are sticky: the sink keeps the first, goes quiet, and
+//! surfaces it at [`TimelineSink::finish`], so the hot path needs no
+//! `Result`. Lane timestamps are emitted monotonically
 //! nondecreasing per `(pid, tid)` — the invariant the validator in
 //! [`crate::parse`] enforces.
 
@@ -540,6 +540,52 @@ mod tests {
         sink.issue(&issue(0, "load", 0, 2));
         sink.issue(&issue(1, "load", 1, 3)); // quiet after the first error
         assert!(sink.finish().is_err());
+    }
+
+    #[test]
+    fn torn_mid_event_writes_surface_at_finish() {
+        // Accepts `budget` bytes, then fails: the document tears partway
+        // through an event, like a disk filling mid-record. The error must
+        // surface at finish() — not panic, not silently truncate — and the
+        // sink must not write again after it.
+        #[derive(Debug)]
+        struct Torn {
+            budget: usize,
+            written: Vec<u8>,
+            failures: usize,
+        }
+        impl Write for Torn {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.budget == 0 {
+                    self.failures += 1;
+                    return Err(io::Error::other("no space left on device"));
+                }
+                let n = buf.len().min(self.budget);
+                self.budget -= n;
+                self.written.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let events = |sink: &mut dyn TraceSink| {
+            for pc in 0..8 {
+                sink.issue(&issue(pc, "load", pc, pc + 2));
+            }
+        };
+        let whole = render(|sink| events(sink));
+        let mut torn = Torn {
+            budget: whole.len() / 2,
+            written: Vec::new(),
+            failures: 0,
+        };
+        let mut sink = TimelineSink::new(&mut torn);
+        events(&mut sink);
+        let error = sink.finish().expect_err("torn write must surface");
+        assert_eq!(error.to_string(), "no space left on device");
+        assert_eq!(torn.failures, 1, "the sink wrote again after the tear");
+        assert_eq!(torn.written, whole.as_bytes()[..whole.len() / 2]);
     }
 
     /// The reference renderer: every event built as a [`JsonObject`] and

@@ -269,30 +269,6 @@ fn profile_tables_report_the_cycle_account() {
 }
 
 #[test]
-fn profile_trace_streams_json_lines() {
-    let dir = std::env::temp_dir().join("titalc-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace = dir.join("profile-trace.jsonl");
-    let output = titalc()
-        .args(["profile", "--trace"])
-        .arg(&trace)
-        .arg(fixture("profile.tital"))
-        .output()
-        .expect("spawn titalc");
-    assert!(output.status.success());
-    let lines = std::fs::read_to_string(&trace).unwrap();
-    assert!(lines.lines().any(|l| l.contains("\"event\":\"phase\"")));
-    assert!(lines.lines().any(|l| l.contains("\"event\":\"issue\"")));
-    // Every line is one complete JSON object.
-    for line in lines.lines() {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "bad line: {line}"
-        );
-    }
-}
-
-#[test]
 fn run_reports_merged_class_and_account_table() {
     let output = titalc()
         .args(["-m", "cray1"])
@@ -475,6 +451,31 @@ fn bound_suite_sweeps_one_preset() {
     );
 }
 
+/// The suite sweep compiles with the same options as a single FILE:
+/// `--unroll` changes the programs it measures, and the bound stays sound.
+#[test]
+fn bound_suite_honours_unroll() {
+    let suite = |extra: &[&str]| {
+        let output = titalc()
+            .args(["bound", "-m", "superscalar:2", "--json"])
+            .args(extra)
+            .output()
+            .expect("spawn titalc");
+        assert!(
+            output.status.success(),
+            "suite bound {extra:?} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        stdout(&output)
+    };
+    let unrolled = suite(&["--unroll", "careful:4", "--verify"]);
+    assert_ne!(suite(&[]), unrolled, "--unroll changed nothing");
+    assert!(
+        !unrolled.contains("\"sound\": false"),
+        "an unsound cell:\n{unrolled}"
+    );
+}
+
 #[test]
 fn bound_rejects_unknown_machine() {
     let output = titalc()
@@ -505,10 +506,11 @@ fn exit_code(output: &Output) -> i32 {
 #[test]
 fn help_documents_exit_codes() {
     let output = titalc().arg("--help").output().expect("spawn titalc");
-    let text = String::from_utf8_lossy(&output.stderr).into_owned() + &stdout(&output);
+    assert_eq!(exit_code(&output), 0, "--help is not an error");
+    let text = stdout(&output);
     assert!(
         text.contains("EXIT CODES"),
-        "no EXIT CODES section:\n{text}"
+        "no EXIT CODES section on stdout:\n{text}"
     );
     for needle in [
         "front end",
@@ -516,6 +518,26 @@ fn help_documents_exit_codes() {
         "simulation (runtime) error",
     ] {
         assert!(text.contains(needle), "missing `{needle}` in help:\n{text}");
+    }
+    // Every command answers --help the same way.
+    for command in [
+        "lint",
+        "analyze",
+        "certify",
+        "profile",
+        "stats",
+        "bound",
+        "sweep",
+        "torture",
+        "synth",
+        "bench-diff",
+    ] {
+        let output = titalc()
+            .args([command, "--help"])
+            .output()
+            .expect("spawn titalc");
+        assert_eq!(exit_code(&output), 0, "{command} --help");
+        assert_eq!(stdout(&output), text, "{command} --help");
     }
 }
 
@@ -802,19 +824,44 @@ fn lint_classifies_timeline_failures() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Each command takes only the flags it uses and at most its FILEs: a
+/// flag it would ignore, or a FILE too many, is a usage error (exit 1)
+/// that names the offending argument and writes nothing.
 #[test]
-fn plain_run_rejects_timeline_flag() {
-    let output = titalc()
-        .args(["--timeline", "/tmp/unused.json"])
-        .arg(fixture("profile.tital"))
-        .output()
-        .expect("spawn titalc");
-    assert_eq!(output.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&output.stderr).contains("--timeline"),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
+fn commands_reject_flags_they_do_not_use() {
+    let dir = std::env::temp_dir().join(format!("titalc-unused-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("out.json");
+    let out = out.to_str().unwrap();
+    let program = fixture("profile.tital");
+    let program = program.to_str().unwrap();
+    let second = fixture("loop_unit.tital");
+    let second = second.to_str().unwrap();
+    let clean = fixture("clean.s");
+    let clean = clean.to_str().unwrap();
+    let rows: [(&[&str], &str); 7] = [
+        (&["--timeline", out, program], "--timeline"),
+        (&["stats", "--timeline", out, program], "--timeline"),
+        (&["certify", "--timeline", out, program], "--timeline"),
+        (&["analyze", "-m", "bogus", program], "-m"),
+        (&["profile", "--cache", program], "--cache"),
+        (&["lint", "--dump", "--cache", clean], "--dump"),
+        (&[program, second], second),
+    ];
+    for (argv, offender) in rows {
+        let output = titalc().args(argv).output().expect("spawn titalc");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(exit_code(&output), 1, "{argv:?}: {stderr}");
+        assert!(
+            stderr.contains(offender),
+            "{argv:?} must name `{offender}`: {stderr}"
+        );
+        assert!(
+            std::fs::read_dir(&dir).unwrap().next().is_none(),
+            "{argv:?} wrote a file"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 fn bench_snapshot(path: &Path, rows: &[(&str, u64)]) {

@@ -471,7 +471,7 @@ fn pipeline_is_deterministic_end_to_end() {
         .into_iter()
         .next()
         .expect("suite is non-empty");
-    for machine in all_preset_machines() {
+    for machine in presets::study() {
         let fingerprint = || {
             let options = CompileOptions::new(OptLevel::O4, &machine).with_verify(true);
             let program = supersym::compile(&workload.source, &options)
@@ -802,30 +802,13 @@ fn random_region(rng: &mut Rng, len: usize) -> Vec<supersym::isa::Instr> {
         .collect()
 }
 
-/// Every paper preset machine, including the shaped/limited ones.
-fn all_preset_machines() -> Vec<supersym::machine::MachineConfig> {
-    vec![
-        presets::base(),
-        presets::multititan(),
-        presets::cray1(),
-        presets::vliw(4),
-        presets::ideal_superscalar(2),
-        presets::ideal_superscalar(8),
-        presets::superpipelined(4),
-        presets::superpipelined_superscalar(2, 2),
-        presets::superscalar_with_class_conflicts(4),
-        presets::underpipelined_slow_cycle(),
-        presets::underpipelined_half_issue(),
-    ]
-}
-
 /// The pipeline scheduler's output always passes the independent legality
 /// checker: a permutation of the input with every RAW/WAR/WAW and memory
 /// dependence order-preserved — for random regions on every preset machine.
 #[test]
 fn scheduler_output_always_passes_legality_checker() {
     use supersym::isa::{Function, Instr, Program};
-    let machines = all_preset_machines();
+    let machines = presets::study();
     for seed in 0..48_u64 {
         let mut rng = Rng::new(seed);
         let len = 2 + rng.below(24) as usize;
@@ -857,7 +840,7 @@ fn scheduler_output_always_passes_legality_checker() {
 fn cycle_account_conserves_and_is_deterministic() {
     use supersym::isa::{Function, Instr, Program};
     use supersym::sim::simulate;
-    let machines = all_preset_machines();
+    let machines = presets::study();
     for seed in 100..124_u64 {
         let mut rng = Rng::new(seed);
         let len = 2 + rng.below(24) as usize;
@@ -956,7 +939,7 @@ fn block_cache_is_bit_exact_on_all_presets() {
     use supersym::sim::{simulate, simulate_with_sink, SimError, SimReport};
     use supersym_torture::mutate::mutate_source;
 
-    let machines = all_preset_machines();
+    let machines = presets::study();
     let exec = ExecOptions {
         memory_words: 1 << 16,
         max_steps: 200_000,
@@ -1100,7 +1083,7 @@ fn block_cache_is_bit_exact_on_all_presets() {
 #[test]
 fn paper_presets_pass_machine_lint() {
     use supersym::verify::Severity;
-    for machine in all_preset_machines() {
+    for machine in presets::study() {
         let diagnostics = machine.validate();
         let errors: Vec<_> = diagnostics
             .iter()
@@ -1124,7 +1107,7 @@ fn paper_presets_pass_machine_lint() {
 #[test]
 fn oracle_sharpening_preserves_semantics() {
     use supersym::analyze::{scheduling_regions, OracleKind};
-    let machines = all_preset_machines();
+    let machines = presets::study();
     for machine in &machines {
         let mut sharpened_regions = 0_usize;
         for seed in AST_SEEDS {
@@ -1186,7 +1169,7 @@ fn oracle_schedules_pass_matching_checkers() {
     use supersym::codegen::schedule_program_with;
     use supersym::isa::{Function, Instr, Program};
     use supersym::verify::check_schedule_with;
-    let machines = all_preset_machines();
+    let machines = presets::study();
     for seed in 0..48_u64 {
         let mut rng = Rng::new(seed.wrapping_mul(0x5DEE_CE66)); // decorrelate from other tests
         let len = 2 + rng.below(24) as usize;
@@ -1235,7 +1218,7 @@ fn oracle_schedules_pass_matching_checkers() {
 #[test]
 fn rule_table_preserves_semantics_on_every_preset() {
     use supersym::workloads::{suite, Size};
-    let machines = all_preset_machines();
+    let machines = presets::study();
     for workload in &suite(Size::Small) {
         for machine in &machines {
             let mut results = [0_i64; 2];
@@ -1276,7 +1259,7 @@ fn rule_table_preserves_semantics_on_every_preset() {
 fn certifier_accepts_every_pass_on_the_whole_suite() {
     use std::collections::BTreeSet;
     use supersym::workloads::{suite, Size};
-    let machines = all_preset_machines();
+    let machines = presets::study();
     let mut certified_passes: BTreeSet<String> = BTreeSet::new();
     for workload in &suite(Size::Small) {
         for machine in &machines {
@@ -1389,7 +1372,7 @@ fn loop_oracle_schedules_pass_conservative_checker() {
     use supersym::codegen::schedule_program_with;
     use supersym::isa::{Function, Instr, Program};
     use supersym::verify::check_schedule_with;
-    let machines = all_preset_machines();
+    let machines = presets::study();
     for seed in 400..448_u64 {
         let mut rng = Rng::new(seed.wrapping_mul(0xC2B2_AE35)); // decorrelate
         let len = 2 + rng.below(24) as usize;
