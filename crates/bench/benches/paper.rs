@@ -1,96 +1,30 @@
-//! Regenerates every table and figure of Jouppi & Wall (ASPLOS 1989).
+//! Times every experiment of `experiments::REGISTRY` at the small workload
+//! size, so regressions in the simulation pipeline show up as timing
+//! changes. The tables themselves come from `titalc reproduce`. The
+//! harness is a plain `main` over `std::time::Instant` (the workspace
+//! builds offline, so no criterion).
 //!
-//! Running `cargo bench --bench paper` first prints the full set of
-//! regenerated tables/figures at the standard workload size — that printed
-//! output is the reproduction artifact recorded in EXPERIMENTS.md — and
-//! then times each experiment driver at the small size so regressions in
-//! the simulation pipeline show up as timing changes. The harness is a
-//! plain `main` over `std::time::Instant` (the container builds offline,
-//! so no criterion).
+//! ```text
+//! cargo bench -p supersym-bench --bench paper
+//! ```
 
 use std::hint::black_box;
 use std::time::Instant;
-use supersym::experiments as exp;
+use supersym::experiments::REGISTRY;
 use supersym::workloads::Size;
 
-/// Prints the full paper reproduction (standard size). Runs once.
-fn print_reproduction() {
-    let size = Size::Standard;
-    println!("==========================================================");
-    println!(" supersym: reproduction of Jouppi & Wall, ASPLOS 1989");
-    println!("==========================================================\n");
-    println!("{}", exp::fig1_1());
-    println!("{}", exp::fig2_diagrams());
-    println!("{}", exp::table2_1(size));
-    println!("{}", exp::fig4_1(size));
-    println!("{}", exp::fig4_2());
-    println!("{}", exp::fig4_3());
-    println!("{}", exp::fig4_4(size));
-    println!("{}", exp::fig4_5(size));
-    println!("{}", exp::fig4_6(size));
-    println!("{}", exp::fig4_7());
-    println!("{}", exp::fig4_8(size));
-    println!("{}", exp::table5_1(size));
-    println!("{}", exp::sec5_1());
-    println!("{}", exp::headline(size));
-    println!("{}", exp::ablation_class_conflicts(size));
-    println!("{}", exp::ablation_branch_prediction(size));
-    println!("{}", exp::grid_measurement(size));
-    println!("{}", exp::unrolling_icache(size));
-    println!("{}", exp::vector_equivalence());
-    println!("{}", exp::complexity_tax(size));
-    println!("{}", exp::limit_study(size));
-}
-
-/// Times `f` over `iters` runs and prints mean wall-clock per run.
-fn time(name: &str, iters: u32, mut f: impl FnMut()) {
-    // One warm-up run so first-touch costs don't pollute the mean.
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let mean = start.elapsed() / iters;
-    println!("{name:40} {mean:>12.2?}/iter  ({iters} iters)");
-}
+/// Timed runs per experiment, after one warm-up run.
+const ITERS: u32 = 3;
 
 fn main() {
-    print_reproduction();
-
-    println!("--- analytic experiments ---");
-    time("fig1_1", 20, || {
-        black_box(exp::fig1_1());
-    });
-    time("fig4_2", 20, || {
-        black_box(exp::fig4_2());
-    });
-    time("fig4_3", 20, || {
-        black_box(exp::fig4_3());
-    });
-    time("fig4_7", 20, || {
-        black_box(exp::fig4_7());
-    });
-    time("sec5_1", 20, || {
-        black_box(exp::sec5_1());
-    });
-    time("fig2_diagrams", 20, || {
-        black_box(exp::fig2_diagrams());
-    });
-
-    // Simulation-backed experiments: representative drivers at the small
-    // size with few samples (each sample compiles and simulates the whole
-    // suite; the full set regenerates above and via reproduce_all).
-    println!("--- simulation-backed experiments (small size) ---");
-    time("table2_1", 3, || {
-        black_box(exp::table2_1(Size::Small));
-    });
-    time("fig4_6", 3, || {
-        black_box(exp::fig4_6(Size::Small));
-    });
-    time("headline", 3, || {
-        black_box(exp::headline(Size::Small));
-    });
-    time("vector_equivalence", 3, || {
-        black_box(exp::vector_equivalence());
-    });
+    for experiment in REGISTRY {
+        // One warm-up run so first-touch costs don't pollute the mean.
+        black_box((experiment.run)(Size::Small));
+        let start = Instant::now();
+        for _ in 0..ITERS {
+            black_box((experiment.run)(black_box(Size::Small)));
+        }
+        let mean = start.elapsed() / ITERS;
+        println!("{:40} {mean:>12.2?}/iter  ({ITERS} iters)", experiment.name);
+    }
 }

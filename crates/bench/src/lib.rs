@@ -3,10 +3,9 @@
 //! Bench harness for the supersym reproduction. The real content lives in
 //! `benches/`:
 //!
-//! * `benches/paper.rs` — regenerates **every table and figure** of the
-//!   paper at the standard workload size (the printed output is the
-//!   reproduction artifact; see EXPERIMENTS.md) and Criterion-times each
-//!   experiment driver at the small size.
-//! * `benches/pipeline.rs` — Criterion micro-benchmarks of the system
-//!   itself: compilation throughput, functional+timing simulation rate,
+//! * `benches/paper.rs` — times each experiment of
+//!   `supersym::experiments::REGISTRY` at the small workload size (the
+//!   tables themselves come from `titalc reproduce`).
+//! * `benches/pipeline.rs` — micro-benchmarks of the system itself:
+//!   compilation throughput, functional+timing simulation rate,
 //!   scheduling, and cache simulation.

@@ -25,6 +25,8 @@
 //! titalc certify -m cray1 program.tital     # re-prove every optimizer pass
 //! titalc synth                              # regenerate the rewrite-rule table
 //! titalc synth --check                      # CI: table must match checked-in
+//! titalc reproduce                          # every table and figure of the paper
+//! titalc reproduce --only fig4_1            # one of them
 //! titalc --machines                         # list machine presets
 //! ```
 //!
@@ -48,7 +50,7 @@ use std::fmt::Display;
 use std::process::ExitCode;
 use std::str::FromStr;
 use supersym::analyze::OracleKind;
-use supersym::machine::{presets, MachineConfig};
+use supersym::machine::{presets, MachineConfig, MAX_ISSUE, MAX_PIPE};
 use supersym::opt::UnrollOptions;
 use supersym::{CompileError, CompileOptions, OptLevel};
 
@@ -78,6 +80,7 @@ USAGE:
     titalc torture [TORTURE OPTIONS]
     titalc synth [--check]
     titalc sweep --grid <SPEC> [SWEEP OPTIONS]
+    titalc reproduce [--small] [--only <NAME>]...
     titalc bench-diff [--threshold <PCT>] [--only <PREFIX>] <OLD.json> <NEW.json>
 
 OPTIONS:
@@ -208,6 +211,18 @@ SWEEP:
                              quarantines (schema supersym.timeline/v1)
     Also accepts -O<N>, --oracle and --verify with their usual meanings.
 
+REPRODUCE:
+    `titalc reproduce` regenerates every table and figure of the paper,
+    then the extension studies, from the one experiment registry
+    (`supersym::experiments::REGISTRY`) and prints them in its order. At
+    the standard size the output is docs/reproduction_standard.txt, which
+    CI diffs against a fresh run.
+        --small              use the small workload size (a quick pass)
+        --only <NAME>        print only the block of the experiment NAME, a
+                             driver name such as fig4_1 or limit_study,
+                             with the same bytes as the full run; repeat
+                             it for more blocks (printed in registry order)
+
 BENCH-DIFF:
     `titalc bench-diff OLD.json NEW.json` compares two supersym.bench/v1
     snapshots row by row and prints the percent delta of every row's
@@ -324,7 +339,9 @@ mod flag {
     pub const DEADLINE_MS: Flag = Flag::new("--deadline-ms", Value);
     pub const INJECT: Flag = Flag::new("--inject", Value);
     pub const THRESHOLD: Flag = Flag::new("--threshold", Value);
+    /// `reproduce --only NAME` repeats; `bench-diff --only PREFIX` does not.
     pub const ONLY: Flag = Flag::new("--only", Value);
+    pub const SMALL: Flag = Flag::new("--small", Switch);
 }
 
 /// A command: its name, how many FILEs it takes at most, and the flags it
@@ -346,7 +363,7 @@ const COMPILE: &[Flag] = &[MACHINE, OPT, UNROLL, ORACLE, VERIFY];
 
 /// Every command. The first one runs when argv does not start with a
 /// command name.
-const COMMANDS: [Command; 11] = [
+const COMMANDS: [Command; 12] = [
     Command::new("run", 1, &[COMPILE, &[DUMP, CACHE, MACHINES]]),
     Command::new("lint", 1, &[&[MACHINE]]),
     Command::new("analyze", 1, &[&[LOOPS, JSON]]),
@@ -377,6 +394,7 @@ const COMMANDS: [Command; 11] = [
     Command::new("torture", 0, &[&[SEED, ITERS, LAYER, CORPUS, REPLAY]]),
     Command::new("synth", 0, &[&[CHECK]]),
     Command::new("bench-diff", 2, &[&[THRESHOLD, ONLY]]),
+    Command::new("reproduce", 0, &[&[SMALL, ONLY]]),
 ];
 
 /// A command line, parsed against its command's row of [`COMMANDS`].
@@ -498,44 +516,45 @@ fn positive<T: FromStr + PartialOrd + Default>(value: &str) -> Result<T, String>
     }
 }
 
-fn parse_machine(name: &str) -> Option<MachineConfig> {
-    if let Some(rest) = name.strip_prefix("superscalar:") {
-        return rest.parse().ok().map(presets::ideal_superscalar);
+/// A preset name, or a preset family with its degrees. The degrees take
+/// the ranges `sweep --grid` takes: issue width n in 1..=[`MAX_ISSUE`],
+/// superpipelining degree m in 1..=[`MAX_PIPE`].
+fn parse_machine(name: &str) -> Result<MachineConfig, String> {
+    let degree = |text: &str, what: &str, max: u32| match text.parse() {
+        Ok(degree) if (1..=max).contains(&degree) => Ok(degree),
+        _ => Err(format!("expected {what} from 1 to {max}")),
+    };
+    let issue = |n: &str| degree(n, "an issue width", MAX_ISSUE);
+    let pipe = |m: &str| degree(m, "a pipe degree", MAX_PIPE);
+    if let Some(n) = name.strip_prefix("superscalar:") {
+        return issue(n).map(presets::ideal_superscalar);
     }
-    if let Some(rest) = name.strip_prefix("superpipelined:") {
-        return rest.parse().ok().map(presets::superpipelined);
+    if let Some(m) = name.strip_prefix("superpipelined:") {
+        return pipe(m).map(presets::superpipelined);
     }
-    if let Some(rest) = name.strip_prefix("conflicts:") {
-        return rest
-            .parse()
-            .ok()
-            .map(presets::superscalar_with_class_conflicts);
+    if let Some(n) = name.strip_prefix("conflicts:") {
+        return issue(n).map(presets::superscalar_with_class_conflicts);
     }
     if let Some(rest) = name.strip_prefix("ssp:") {
-        let (n, m) = rest.split_once(':')?;
-        return Some(presets::superpipelined_superscalar(
-            n.parse().ok()?,
-            m.parse().ok()?,
-        ));
+        let (n, m) = rest.split_once(':').ok_or("expected ssp:<n>:<m>")?;
+        return Ok(presets::superpipelined_superscalar(issue(n)?, pipe(m)?));
     }
-    if let Some(rest) = name.strip_prefix("vliw:") {
-        return rest.parse().ok().map(presets::vliw);
+    if let Some(n) = name.strip_prefix("vliw:") {
+        return issue(n).map(presets::vliw);
     }
     match name {
-        "base" => Some(presets::base()),
-        "multititan" => Some(presets::multititan()),
-        "cray1" => Some(presets::cray1()),
-        "underpipelined" => Some(presets::underpipelined_half_issue()),
-        "slowcycle" => Some(presets::underpipelined_slow_cycle()),
-        _ => None,
+        "base" => Ok(presets::base()),
+        "multititan" => Ok(presets::multititan()),
+        "cray1" => Ok(presets::cray1()),
+        "underpipelined" => Ok(presets::underpipelined_half_issue()),
+        "slowcycle" => Ok(presets::underpipelined_slow_cycle()),
+        _ => Err("unknown machine (try --machines)".to_string()),
     }
 }
 
 /// `-m NAME`: the named preset, `None` when the flag is absent.
 fn machine(args: &Args) -> Result<Option<MachineConfig>, ExitCode> {
-    args.parsed(MACHINE, |name| {
-        parse_machine(name).ok_or_else(|| "unknown machine (try --machines)".to_string())
-    })
+    args.parsed(MACHINE, parse_machine)
 }
 
 /// `-O<N>`: levels 0 to 4; a bare `-O`, like no flag, means `-O4`.
@@ -635,6 +654,7 @@ fn main() -> ExitCode {
         "torture" => tools::torture(&args),
         "synth" => tools::synth(&args),
         "bench-diff" => tools::bench_diff(&args),
+        "reproduce" => tools::reproduce(&args),
         other => unreachable!("`{other}` is in COMMANDS but not dispatched"),
     });
     match outcome {

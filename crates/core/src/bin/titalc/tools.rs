@@ -1,10 +1,13 @@
-//! The toolchain's self-checks: `torture`, `synth` and `bench-diff`.
+//! The toolchain's self-checks (`torture`, `synth`, `bench-diff`) and the
+//! paper reproduction (`reproduce`).
 
 use crate::{flag, positive, Args, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY};
 use std::process::ExitCode;
+use supersym::experiments::REGISTRY;
 use supersym::rules::{synthesize, SynthConfig, DEFAULT_TABLE_TEXT};
 use supersym::torture::{replay_torture_corpus, run_torture};
 use supersym::trace::{parse_json, JsonValue};
+use supersym::workloads::Size;
 use supersym_torture::{write_corpus, Layer};
 
 /// `titalc torture`: run a mutation campaign (or a corpus replay). Exits 0
@@ -204,4 +207,33 @@ pub(crate) fn bench_diff(args: &Args) -> Result<(), ExitCode> {
     } else {
         Ok(())
     }
+}
+
+/// `titalc reproduce`: print every experiment of the registry, or only the
+/// `--only` ones, at the standard size or with `--small` the small one.
+pub(crate) fn reproduce(args: &Args) -> Result<(), ExitCode> {
+    let names = || REGISTRY.iter().map(|experiment| experiment.name);
+    let only = args.parsed_all(flag::ONLY, |name| {
+        names().find(|&known| known == name).ok_or_else(|| {
+            let names: Vec<&str> = names().collect();
+            format!("unknown experiment; expected one of {}", names.join(", "))
+        })
+    })?;
+    let size = if args.switch(flag::SMALL) {
+        Size::Small
+    } else {
+        Size::Standard
+    };
+    if only.is_empty() {
+        println!("==========================================================");
+        println!(" supersym: reproduction of Jouppi & Wall, ASPLOS 1989");
+        println!(" workload size: {size:?}");
+        println!("==========================================================\n");
+    }
+    for experiment in REGISTRY {
+        if only.is_empty() || only.contains(&experiment.name) {
+            println!("{}", (experiment.run)(size));
+        }
+    }
+    Ok(())
 }

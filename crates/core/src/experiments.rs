@@ -7,6 +7,10 @@
 //! our substituted benchmarks; the *shapes* — who wins, by what factor,
 //! where the ceilings sit — are the reproduction targets (see
 //! EXPERIMENTS.md).
+//!
+//! [`REGISTRY`] is the one list of these drivers. `titalc reproduce` prints
+//! it, and `docs/reproduction_standard.txt` is that output at the standard
+//! size.
 
 use crate::{compile, CompileOptions, OptLevel};
 use std::fmt;
@@ -20,6 +24,63 @@ use supersym_sim::{
 };
 use supersym_trace::LoopCountSink;
 use supersym_workloads::{numeric_suite, suite, Size, Workload};
+
+/// One experiment of the reproduction: a driver and its printed table.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The driver's function name: `fig4_1`, `limit_study`, ….
+    pub name: &'static str,
+    /// Runs the driver at a workload size and renders its table. Drivers
+    /// without a size ignore it.
+    pub run: fn(Size) -> String,
+}
+
+impl Experiment {
+    const fn new(name: &'static str, run: fn(Size) -> String) -> Self {
+        Experiment { name, run }
+    }
+}
+
+/// Every experiment, in the order `titalc reproduce` prints them: the
+/// paper's tables and figures, then the extension studies.
+pub const REGISTRY: &[Experiment] = &[
+    Experiment::new("fig1_1", |_| fig1_1().to_string()),
+    Experiment::new("fig2_diagrams", |_| fig2_diagrams()),
+    Experiment::new("table2_1", |size| table2_1(size).to_string()),
+    Experiment::new("fig4_1", |size| fig4_1(size).to_string()),
+    Experiment::new("fig4_2", |_| fig4_2().to_string()),
+    Experiment::new("fig4_3", |_| fig4_3().to_string()),
+    Experiment::new("fig4_4", |size| fig4_4(size).to_string()),
+    Experiment::new("fig4_5", |size| fig4_5(size).to_string()),
+    Experiment::new("fig4_6", |size| fig4_6(size).to_string()),
+    Experiment::new("fig4_7", |_| fig4_7().to_string()),
+    Experiment::new("fig4_8", |size| fig4_8(size).to_string()),
+    Experiment::new("table5_1", |size| table5_1(size).to_string()),
+    Experiment::new("sec5_1", |_| sec5_1().to_string()),
+    Experiment::new("headline", |size| headline(size).to_string()),
+    Experiment::new("ablation_class_conflicts", |size| {
+        ablation_class_conflicts(size).to_string()
+    }),
+    Experiment::new("ablation_branch_prediction", |size| {
+        ablation_branch_prediction(size).to_string()
+    }),
+    Experiment::new("grid_measurement", |size| {
+        grid_measurement(size).to_string()
+    }),
+    Experiment::new("unrolling_icache", |size| {
+        unrolling_icache(size).to_string()
+    }),
+    Experiment::new("vector_equivalence", |_| vector_equivalence().to_string()),
+    Experiment::new("complexity_tax", |size| complexity_tax(size).to_string()),
+    Experiment::new("limit_study", |size| limit_study(size).to_string()),
+    Experiment::new("alias_oracle_study", |size| {
+        alias_oracle_study(size).to_string()
+    }),
+    Experiment::new("stall_breakdown", |size| stall_breakdown(size).to_string()),
+    Experiment::new("rules_study", |size| rules_study(size).to_string()),
+    Experiment::new("bound_study", |size| bound_study(size).to_string()),
+    Experiment::new("sweep_study", |size| sweep_study(size).to_string()),
+];
 
 /// Harmonic mean (the paper's aggregate for speedups).
 #[must_use]
@@ -48,10 +109,41 @@ pub fn run_workload(
     if let Some(split) = split {
         options = options.with_split(split);
     }
-    let program = compile(&workload.source, &options)
-        .unwrap_or_else(|e| panic!("{} failed to compile: {e}", workload.name));
+    let program = compile_workload(workload, &options);
     simulate(&program, machine, SimOptions::default())
         .unwrap_or_else(|e| panic!("{} failed to run: {e}", workload.name))
+}
+
+/// Compiles a suite workload, which is tested to compile.
+fn compile_workload(workload: &Workload, options: &CompileOptions) -> Program {
+    compile(&workload.source, options)
+        .unwrap_or_else(|e| panic!("{} failed to compile: {e}", workload.name))
+}
+
+/// The harmonic-mean speedup of each of `machines` over `base`, with every
+/// workload compiled at `O4` for each machine.
+fn suite_speedup(
+    workloads: &[Workload],
+    base: &MachineConfig,
+    machines: impl IntoIterator<Item = MachineConfig>,
+) -> Vec<f64> {
+    let base_reports: Vec<SimReport> = workloads
+        .iter()
+        .map(|w| run_workload(w, OptLevel::O4, base, None, None))
+        .collect();
+    machines
+        .into_iter()
+        .map(|machine| {
+            let speedups: Vec<f64> = workloads
+                .iter()
+                .zip(&base_reports)
+                .map(|(w, base)| {
+                    run_workload(w, OptLevel::O4, &machine, None, None).speedup_over(base)
+                })
+                .collect();
+            harmonic_mean(&speedups)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -247,32 +339,22 @@ pub struct Fig4_1 {
 /// Runs the Figure 4-1 sweep.
 #[must_use]
 pub fn fig4_1(size: Size) -> Fig4_1 {
-    let workloads = suite(size);
-    let base_reports: Vec<SimReport> = workloads
+    let degrees: Vec<u32> = (1..=8).collect();
+    let machines = degrees
         .iter()
-        .map(|w| run_workload(w, OptLevel::O4, &presets::base(), None, None))
-        .collect();
-    let mut result = Fig4_1 {
-        degrees: (1..=8).collect(),
-        superscalar: Vec::new(),
-        superpipelined: Vec::new(),
-    };
-    for degree in 1..=8 {
-        for (vec, machine) in [
-            (&mut result.superscalar, presets::ideal_superscalar(degree)),
-            (&mut result.superpipelined, presets::superpipelined(degree)),
-        ] {
-            let speedups: Vec<f64> = workloads
+        .map(|&degree| presets::ideal_superscalar(degree))
+        .chain(
+            degrees
                 .iter()
-                .zip(&base_reports)
-                .map(|(w, base)| {
-                    run_workload(w, OptLevel::O4, &machine, None, None).speedup_over(base)
-                })
-                .collect();
-            vec.push(harmonic_mean(&speedups));
-        }
+                .map(|&degree| presets::superpipelined(degree)),
+        );
+    let mut superscalar = suite_speedup(&suite(size), &presets::base(), machines);
+    let superpipelined = superscalar.split_off(degrees.len());
+    Fig4_1 {
+        degrees,
+        superscalar,
+        superpipelined,
     }
-    result
 }
 
 impl fmt::Display for Fig4_1 {
@@ -446,34 +528,19 @@ pub struct Fig4_4 {
 pub fn fig4_4(size: Size) -> Fig4_4 {
     let workloads = suite(size);
     let cray = presets::cray1();
-    let unit = cray.with_unit_latencies();
-    let mut result = Fig4_4 {
-        widths: (1..=8).collect(),
-        unit_latencies: Vec::new(),
-        actual_latencies: Vec::new(),
+    let widths: Vec<u32> = (1..=8).collect();
+    let percent = |base: &MachineConfig| -> Vec<f64> {
+        let machines = widths.iter().map(|&width| base.with_issue_width(width));
+        suite_speedup(&workloads, &base.with_issue_width(1), machines)
+            .into_iter()
+            .map(|speedup| (speedup - 1.0) * 100.0)
+            .collect()
     };
-    for (vec, base_machine) in [
-        (&mut result.unit_latencies, &unit),
-        (&mut result.actual_latencies, &cray),
-    ] {
-        let width1 = base_machine.with_issue_width(1);
-        let base_reports: Vec<SimReport> = workloads
-            .iter()
-            .map(|w| run_workload(w, OptLevel::O4, &width1, None, None))
-            .collect();
-        for width in 1..=8 {
-            let machine = base_machine.with_issue_width(width);
-            let speedups: Vec<f64> = workloads
-                .iter()
-                .zip(&base_reports)
-                .map(|(w, base)| {
-                    run_workload(w, OptLevel::O4, &machine, None, None).speedup_over(base)
-                })
-                .collect();
-            vec.push((harmonic_mean(&speedups) - 1.0) * 100.0);
-        }
+    Fig4_4 {
+        unit_latencies: percent(&cray.with_unit_latencies()),
+        actual_latencies: percent(&cray),
+        widths,
     }
-    result
 }
 
 impl fmt::Display for Fig4_4 {
@@ -790,8 +857,7 @@ pub fn table5_1(size: Size) -> Table5_1 {
     let mut cycles = 0_f64;
     let mut misses_weighted = 0_f64;
     for workload in suite(size) {
-        let options = CompileOptions::new(OptLevel::O4, &machine);
-        let program = compile(&workload.source, &options).expect("suite compiles");
+        let program = compile_workload(&workload, &CompileOptions::new(OptLevel::O4, &machine));
         let (report, caches) = simulate_with_cache(
             &program,
             &machine,
@@ -990,6 +1056,17 @@ mod tests {
     }
 
     #[test]
+    fn registry_names_are_unique() {
+        for (i, experiment) in REGISTRY.iter().enumerate() {
+            assert!(
+                REGISTRY[..i].iter().all(|e| e.name != experiment.name),
+                "`{}` is registered twice",
+                experiment.name
+            );
+        }
+    }
+
+    #[test]
     fn harmonic_mean_basics() {
         assert!((harmonic_mean(&[2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!(harmonic_mean(&[1.0, 4.0]) < 2.5); // below arithmetic mean
@@ -1018,35 +1095,22 @@ pub struct ClassConflictAblation {
 /// Runs the class-conflict ablation.
 #[must_use]
 pub fn ablation_class_conflicts(size: Size) -> ClassConflictAblation {
-    let workloads = suite(size);
-    let base_reports: Vec<SimReport> = workloads
+    let degrees = vec![2, 3, 4, 6, 8];
+    let machines = degrees
         .iter()
-        .map(|w| run_workload(w, OptLevel::O4, &presets::base(), None, None))
-        .collect();
-    let mut result = ClassConflictAblation {
-        degrees: vec![2, 3, 4, 6, 8],
-        ideal: Vec::new(),
-        conflicted: Vec::new(),
-    };
-    for &degree in &result.degrees.clone() {
-        for (vec, machine) in [
-            (&mut result.ideal, presets::ideal_superscalar(degree)),
-            (
-                &mut result.conflicted,
-                presets::superscalar_with_class_conflicts(degree),
-            ),
-        ] {
-            let speedups: Vec<f64> = workloads
+        .map(|&degree| presets::ideal_superscalar(degree))
+        .chain(
+            degrees
                 .iter()
-                .zip(&base_reports)
-                .map(|(w, base)| {
-                    run_workload(w, OptLevel::O4, &machine, None, None).speedup_over(base)
-                })
-                .collect();
-            vec.push(harmonic_mean(&speedups));
-        }
+                .map(|&degree| presets::superscalar_with_class_conflicts(degree)),
+        );
+    let mut ideal = suite_speedup(&suite(size), &presets::base(), machines);
+    let conflicted = ideal.split_off(degrees.len());
+    ClassConflictAblation {
+        degrees,
+        ideal,
+        conflicted,
     }
-    result
 }
 
 impl fmt::Display for ClassConflictAblation {
@@ -1129,26 +1193,18 @@ pub struct GridMeasurement {
 /// Measures the (n, m) grid up to 4×4.
 #[must_use]
 pub fn grid_measurement(size: Size) -> GridMeasurement {
-    let workloads = suite(size);
-    let base_reports: Vec<SimReport> = workloads
+    let points: Vec<(u32, u32)> = (1..=4).flat_map(|m| (1..=4).map(move |n| (n, m))).collect();
+    let machines = points
         .iter()
-        .map(|w| run_workload(w, OptLevel::O4, &presets::base(), None, None))
-        .collect();
-    let mut cells = Vec::new();
-    for m in 1..=4 {
-        for n in 1..=4 {
-            let machine = presets::superpipelined_superscalar(n, m);
-            let speedups: Vec<f64> = workloads
-                .iter()
-                .zip(&base_reports)
-                .map(|(w, base)| {
-                    run_workload(w, OptLevel::O4, &machine, None, None).speedup_over(base)
-                })
-                .collect();
-            cells.push((n, m, harmonic_mean(&speedups)));
-        }
+        .map(|&(n, m)| presets::superpipelined_superscalar(n, m));
+    let speedups = suite_speedup(&suite(size), &presets::base(), machines);
+    GridMeasurement {
+        cells: points
+            .into_iter()
+            .zip(speedups)
+            .map(|((n, m), speedup)| (n, m, speedup))
+            .collect(),
     }
-    GridMeasurement { cells }
 }
 
 impl fmt::Display for GridMeasurement {
@@ -1221,7 +1277,7 @@ pub fn unrolling_icache(size: Size) -> UnrollingICache {
         if factor > 1 {
             options = options.with_unroll(UnrollOptions::careful(factor));
         }
-        let program = compile(&workload.source, &options).expect("workload compiles");
+        let program = compile_workload(&workload, &options);
         let (report, caches) = simulate_with_cache(
             &program,
             &machine,
@@ -1490,8 +1546,7 @@ pub fn limit_study(size: Size) -> LimitStudy {
     let machine = presets::ideal_superscalar(8);
     let mut rows = Vec::new();
     for workload in suite(size) {
-        let options = CompileOptions::new(OptLevel::O4, &machine);
-        let program = compile(&workload.source, &options).expect("suite compiles");
+        let program = compile_workload(&workload, &CompileOptions::new(OptLevel::O4, &machine));
         let in_order = simulate(&program, &machine, SimOptions::default())
             .expect("suite runs")
             .available_parallelism();
@@ -1585,8 +1640,7 @@ pub fn alias_oracle_study(size: Size) -> AliasOracleStudy {
                     .with_unroll(UnrollOptions::naive(4))
                     .with_split(RegisterSplit::unrolling_study())
                     .with_oracle(oracle);
-                let program = compile(&workload.source, &options)
-                    .unwrap_or_else(|e| panic!("{} failed to compile: {e}", workload.name));
+                let program = compile_workload(workload, &options);
                 let report = simulate(&program, machine, SimOptions::default())
                     .unwrap_or_else(|e| panic!("{} failed to run: {e}", workload.name));
                 measured[slot] = report.available_parallelism();
@@ -1736,8 +1790,7 @@ pub fn rules_study(size: Size) -> RulesStudy {
         };
         for (slot, rules) in [(0, false), (1, true)] {
             let options = CompileOptions::new(OptLevel::O4, &machine).with_rules(rules);
-            let program = compile(&workload.source, &options)
-                .unwrap_or_else(|e| panic!("{} failed to compile: {e}", workload.name));
+            let program = compile_workload(workload, &options);
             let report = simulate(&program, &machine, SimOptions::default())
                 .unwrap_or_else(|e| panic!("{} failed to run: {e}", workload.name));
             row.static_insts[slot] = program.static_size();
@@ -1883,9 +1936,7 @@ pub fn bound_study(size: Size) -> BoundStudy {
     for machine in &machines {
         let mut cells = Vec::new();
         for workload in &workloads {
-            let options = CompileOptions::new(OptLevel::O4, machine);
-            let program = compile(&workload.source, &options)
-                .unwrap_or_else(|e| panic!("{} failed to compile: {e}", workload.name));
+            let program = compile_workload(workload, &CompileOptions::new(OptLevel::O4, machine));
             let cell = measure_bound(workload.name, &program, machine);
             assert!(
                 cell.sound,

@@ -13,7 +13,8 @@
 //!   (`supersym-regalloc`) → machine code + pipeline scheduling
 //!   (`supersym-codegen`), all parameterized by a
 //!   [`MachineConfig`](supersym_machine::MachineConfig);
-//! * [`experiments`] — one driver per table and figure of the paper;
+//! * [`experiments`] — one driver per table and figure of the paper, all
+//!   listed in [`experiments::REGISTRY`], which `titalc reproduce` prints;
 //! * re-exports of the subsystem crates under [`isa`], [`machine`], [`sim`]
 //!   and friends.
 //!

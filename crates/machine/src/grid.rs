@@ -48,8 +48,11 @@ use supersym_isa::{ClassTable, InstrClass};
 /// Hard cap on cells a single grid may enumerate.
 pub const MAX_GRID_CELLS: usize = 4096;
 
-const MAX_ISSUE: u32 = 64;
-const MAX_PIPE: u32 = 16;
+/// The widest issue width a grid cell or `titalc -m` preset may have.
+pub const MAX_ISSUE: u32 = 64;
+/// The deepest superpipelining degree a grid cell or `titalc -m` preset
+/// may have.
+pub const MAX_PIPE: u32 = 16;
 
 /// A latency model axis value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

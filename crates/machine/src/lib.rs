@@ -44,7 +44,10 @@ mod spec;
 pub use config::{
     FunctionalUnit, MachineConfig, MachineConfigBuilder, MachineError, RegisterSplit,
 };
-pub use grid::{FuModel, GridCell, GridError, GridSpec, LatModel, SplitModel, MAX_GRID_CELLS};
+pub use grid::{
+    FuModel, GridCell, GridError, GridSpec, LatModel, SplitModel, MAX_GRID_CELLS, MAX_ISSUE,
+    MAX_PIPE,
+};
 pub use metrics::{
     average_degree_from_census, average_degree_of_superpipelining, paper_frequencies,
     superpipelining_axis_position, utilization_grid, UtilizationCell,

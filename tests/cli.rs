@@ -489,6 +489,37 @@ fn bound_rejects_unknown_machine() {
     );
 }
 
+/// A `-m` degree outside the ranges `sweep --grid` takes (issue width
+/// 1..=64, pipe degree 1..=16) is a usage error naming `--machine`, never
+/// a panic in a preset constructor or a huge allocation.
+#[test]
+fn machine_degrees_out_of_range_are_usage_errors() {
+    let program = fixture("profile.tital");
+    let program = program.to_str().unwrap();
+    let rows: [&[&str]; 13] = [
+        &["-m", "superscalar:0", program],
+        &["-m", "superpipelined:0", program],
+        &["-m", "vliw:0", program],
+        &["-m", "ssp:0:2", program],
+        &["-m", "ssp:2:0", program],
+        &["-m", "conflicts:0", program],
+        &["-m", "superscalar:4294967295", program],
+        &["-m", "vliw:4294967295", program],
+        &["-m", "superscalar:65", program],
+        &["-m", "ssp:1:17", program],
+        &["profile", "-m", "superpipelined:17", program],
+        &["certify", "-m", "conflicts:65", program],
+        &["bound", "-m", "superscalar:0"],
+    ];
+    for argv in rows {
+        let output = titalc().args(argv).output().expect("spawn titalc");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(exit_code(&output), 1, "{argv:?}: {stderr}");
+        assert!(stderr.contains("--machine"), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Exit codes: 0 ok / 1 usage / 2 front end / 3 static checks / 4 runtime
 // ---------------------------------------------------------------------------
@@ -531,6 +562,7 @@ fn help_documents_exit_codes() {
         "torture",
         "synth",
         "bench-diff",
+        "reproduce",
     ] {
         let output = titalc()
             .args([command, "--help"])
@@ -824,6 +856,47 @@ fn lint_classifies_timeline_failures() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The size-independent experiments are cheap even in a debug build: each
+/// `reproduce --only NAME` block must appear, byte for byte, in the
+/// committed standard-size reproduction.
+#[test]
+fn reproduce_matches_the_committed_artifact() {
+    let artifact =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/reproduction_standard.txt");
+    let artifact = std::fs::read_to_string(artifact).expect("read the committed reproduction");
+    for name in [
+        "fig1_1",
+        "fig2_diagrams",
+        "fig4_2",
+        "fig4_3",
+        "fig4_7",
+        "sec5_1",
+        "vector_equivalence",
+    ] {
+        let output = titalc()
+            .args(["reproduce", "--only", name])
+            .output()
+            .expect("spawn titalc");
+        assert_eq!(exit_code(&output), 0, "{name}");
+        let block = stdout(&output);
+        assert!(
+            block.len() > 1 && artifact.contains(&block),
+            "`reproduce --only {name}` is not in docs/reproduction_standard.txt:\n{block}"
+        );
+    }
+    let output = titalc()
+        .args(["reproduce", "--only", "no_such_study"])
+        .output()
+        .expect("spawn titalc");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(exit_code(&output), 1, "{stderr}");
+    assert!(stderr.contains("no_such_study"), "{stderr}");
+    assert!(
+        stderr.contains("fig4_1"),
+        "valid names are listed: {stderr}"
+    );
+}
+
 /// Each command takes only the flags it uses and at most its FILEs: a
 /// flag it would ignore, or a FILE too many, is a usage error (exit 1)
 /// that names the offending argument and writes nothing.
@@ -839,7 +912,7 @@ fn commands_reject_flags_they_do_not_use() {
     let second = second.to_str().unwrap();
     let clean = fixture("clean.s");
     let clean = clean.to_str().unwrap();
-    let rows: [(&[&str], &str); 7] = [
+    let rows: [(&[&str], &str); 8] = [
         (&["--timeline", out, program], "--timeline"),
         (&["stats", "--timeline", out, program], "--timeline"),
         (&["certify", "--timeline", out, program], "--timeline"),
@@ -847,6 +920,7 @@ fn commands_reject_flags_they_do_not_use() {
         (&["profile", "--cache", program], "--cache"),
         (&["lint", "--dump", "--cache", clean], "--dump"),
         (&[program, second], second),
+        (&["reproduce", "small"], "small"),
     ];
     for (argv, offender) in rows {
         let output = titalc().args(argv).output().expect("spawn titalc");
