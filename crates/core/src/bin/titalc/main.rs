@@ -51,7 +51,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use supersym::analyze::OracleKind;
 use supersym::machine::{presets, MachineConfig, MAX_ISSUE, MAX_PIPE};
-use supersym::opt::UnrollOptions;
+use supersym::opt::{UnrollOptions, MAX_UNROLL};
 use supersym::{CompileError, CompileOptions, OptLevel};
 
 /// Exit code for usage and I/O errors.
@@ -81,12 +81,12 @@ USAGE:
     titalc synth [--check]
     titalc sweep --grid <SPEC> [SWEEP OPTIONS]
     titalc reproduce [--small] [--only <NAME>]...
-    titalc bench-diff [--threshold <PCT>] [--only <PREFIX>] <OLD.json> <NEW.json>
 
 OPTIONS:
     -m, --machine <NAME>     machine preset (default: base); see --machines
     -O<N>                    optimization level 0..4 (default: 4)
-        --unroll <KIND:N>    loop unrolling: naive:N or careful:N
+        --unroll <KIND:N>    loop unrolling: naive:N or careful:N, N from
+                             1 to 16
         --dump               print the scheduled assembly instead of running
         --cache              also simulate 8KiB split I/D caches
         --verify             run the static verifier on the compiled output
@@ -223,16 +223,6 @@ REPRODUCE:
                              with the same bytes as the full run; repeat
                              it for more blocks (printed in registry order)
 
-BENCH-DIFF:
-    `titalc bench-diff OLD.json NEW.json` compares two supersym.bench/v1
-    snapshots row by row and prints the percent delta of every row's
-    mean (the min when the snapshot records one). Exits 3 when any row
-    common to both snapshots regressed (got slower) by more than the
-    threshold.
-        --threshold <PCT>    regression tolerance in percent (default: 10)
-        --only <PREFIX>      gate only rows whose name starts with PREFIX
-                             (all rows still print; others never fail)
-
 TORTURE OPTIONS:
     `titalc torture` runs a deterministic fault-injection campaign
     against the whole pipeline: seeded mutants at five layers (source,
@@ -251,8 +241,7 @@ EXIT CODES:
     1    usage or I/O error
     2    the input failed to parse, type-check or lower (front end)
     3    static checks failed: lint/verify diagnostics, IR validation,
-         machine-description or register-split errors, torture findings,
-         bench-diff regressions beyond the threshold
+         machine-description or register-split errors, torture findings
     4    simulation (runtime) error, or an I/O error writing a requested
          output file (--timeline, --out, --checkpoint, --cache)
 ";
@@ -338,8 +327,7 @@ mod flag {
     pub const RESULT_CACHE: Flag = Flag::new("--cache", Value);
     pub const DEADLINE_MS: Flag = Flag::new("--deadline-ms", Value);
     pub const INJECT: Flag = Flag::new("--inject", Value);
-    pub const THRESHOLD: Flag = Flag::new("--threshold", Value);
-    /// `reproduce --only NAME` repeats; `bench-diff --only PREFIX` does not.
+    /// Repeatable: every occurrence counts.
     pub const ONLY: Flag = Flag::new("--only", Value);
     pub const SMALL: Flag = Flag::new("--small", Switch);
 }
@@ -363,7 +351,7 @@ const COMPILE: &[Flag] = &[MACHINE, OPT, UNROLL, ORACLE, VERIFY];
 
 /// Every command. The first one runs when argv does not start with a
 /// command name.
-const COMMANDS: [Command; 12] = [
+const COMMANDS: [Command; 11] = [
     Command::new("run", 1, &[COMPILE, &[DUMP, CACHE, MACHINES]]),
     Command::new("lint", 1, &[&[MACHINE]]),
     Command::new("analyze", 1, &[&[LOOPS, JSON]]),
@@ -393,7 +381,6 @@ const COMMANDS: [Command; 12] = [
     ),
     Command::new("torture", 0, &[&[SEED, ITERS, LAYER, CORPUS, REPLAY]]),
     Command::new("synth", 0, &[&[CHECK]]),
-    Command::new("bench-diff", 2, &[&[THRESHOLD, ONLY]]),
     Command::new("reproduce", 0, &[&[SMALL, ONLY]]),
 ];
 
@@ -581,7 +568,7 @@ fn oracle(args: &Args) -> Result<OracleKind, ExitCode> {
 }
 
 /// The compile options for `machine` under `-O`, `--oracle`, `--verify`
-/// and `--unroll`.
+/// and `--unroll`, whose factor takes 1..=[`MAX_UNROLL`].
 fn compile_options(args: &Args, machine: &MachineConfig) -> Result<CompileOptions, ExitCode> {
     let mut options = CompileOptions::new(opt_level(args)?, machine).with_oracle(oracle(args)?);
     if args.switch(VERIFY) {
@@ -589,10 +576,13 @@ fn compile_options(args: &Args, machine: &MachineConfig) -> Result<CompileOption
     }
     let unroll = args.parsed(UNROLL, |spec| {
         let (kind, factor) = spec.split_once(':').unwrap_or((spec, ""));
-        match (kind, factor.parse()) {
-            ("naive", Ok(factor)) => Ok(UnrollOptions::naive(factor)),
-            ("careful", Ok(factor)) => Ok(UnrollOptions::careful(factor)),
-            _ => Err("expected naive:N or careful:N".to_string()),
+        let factor = factor.parse().ok().filter(|n| (1..=MAX_UNROLL).contains(n));
+        match (kind, factor) {
+            ("naive", Some(factor)) => Ok(UnrollOptions::naive(factor)),
+            ("careful", Some(factor)) => Ok(UnrollOptions::careful(factor)),
+            _ => Err(format!(
+                "expected naive:N or careful:N, N from 1 to {MAX_UNROLL}"
+            )),
         }
     })?;
     if let Some(unroll) = unroll {
@@ -653,7 +643,6 @@ fn main() -> ExitCode {
         "sweep" => sweep::sweep(&args),
         "torture" => tools::torture(&args),
         "synth" => tools::synth(&args),
-        "bench-diff" => tools::bench_diff(&args),
         "reproduce" => tools::reproduce(&args),
         other => unreachable!("`{other}` is in COMMANDS but not dispatched"),
     });

@@ -1,12 +1,11 @@
-//! The toolchain's self-checks (`torture`, `synth`, `bench-diff`) and the
-//! paper reproduction (`reproduce`).
+//! The toolchain's self-checks (`torture`, `synth`) and the paper
+//! reproduction (`reproduce`).
 
-use crate::{flag, positive, Args, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY};
+use crate::{flag, Args, EXIT_USAGE, EXIT_VERIFY};
 use std::process::ExitCode;
 use supersym::experiments::REGISTRY;
 use supersym::rules::{synthesize, SynthConfig, DEFAULT_TABLE_TEXT};
 use supersym::torture::{replay_torture_corpus, run_torture};
-use supersym::trace::{parse_json, JsonValue};
 use supersym::workloads::Size;
 use supersym_torture::{write_corpus, Layer};
 
@@ -114,99 +113,6 @@ pub(crate) fn synth(args: &Args) -> Result<(), ExitCode> {
         ),
     }
     Err(ExitCode::from(EXIT_VERIFY))
-}
-
-/// Loads a `supersym.bench/v1` snapshot as `(name, ns)` rows in file
-/// order, preferring the noise-resistant `min_ns` statistic and falling
-/// back to `mean_ns` for snapshots taken before minimums were recorded.
-/// `Err` carries the exit code: `EXIT_USAGE` for unreadable files,
-/// `EXIT_PARSE` for malformed or wrong-schema documents.
-fn load_bench_rows(path: &str) -> Result<Vec<(String, u64)>, ExitCode> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(error) => {
-            eprintln!("titalc bench-diff: cannot read `{path}`: {error}");
-            return Err(ExitCode::from(EXIT_USAGE));
-        }
-    };
-    let malformed = |message: &str| {
-        eprintln!("titalc bench-diff: {path}: {message}");
-        Err(ExitCode::from(EXIT_PARSE))
-    };
-    let doc = match parse_json(&text) {
-        Ok(doc) => doc,
-        Err(error) => return malformed(&error.to_string()),
-    };
-    if doc.get("schema").and_then(JsonValue::as_str) != Some("supersym.bench/v1") {
-        return malformed("not a supersym.bench/v1 snapshot");
-    }
-    let Some(rows) = doc.get("rows").and_then(JsonValue::as_array) else {
-        return malformed("missing rows array");
-    };
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let name = row.get("name").and_then(JsonValue::as_str);
-        let mean_ns = row.get("mean_ns").and_then(JsonValue::as_u64);
-        let min_ns = row.get("min_ns").and_then(JsonValue::as_u64);
-        match (name, min_ns.or(mean_ns)) {
-            (Some(name), Some(ns)) => out.push((name.to_string(), ns)),
-            _ => return malformed("row without name/mean_ns"),
-        }
-    }
-    Ok(out)
-}
-
-/// `titalc bench-diff OLD.json NEW.json`: per-row percent deltas between
-/// two bench snapshots. Rows present in only one snapshot are reported but
-/// never counted as regressions. Exits `EXIT_VERIFY` when any common row
-/// got slower by more than the threshold (default 10%). With `--only`,
-/// rows outside the prefix are still printed but never fail the diff —
-/// the shape of a gate that blocks on one subsystem while the rest of the
-/// snapshot stays informational.
-pub(crate) fn bench_diff(args: &Args) -> Result<(), ExitCode> {
-    let threshold: f64 = args.parsed(flag::THRESHOLD, positive)?.unwrap_or(10.0);
-    let only = args.value(flag::ONLY);
-    let [old_path, new_path] = args.files.as_slice() else {
-        return Err(args.usage("expected exactly two snapshot files"));
-    };
-    let old_rows = load_bench_rows(old_path)?;
-    let new_rows = load_bench_rows(new_path)?;
-    println!("bench diff: {old_path} -> {new_path} (threshold {threshold}%)");
-    println!(
-        "  {:<44} {:>12} {:>12} {:>9}",
-        "row", "old ns", "new ns", "delta"
-    );
-    let mut regressions = 0_usize;
-    for (name, new_ns) in &new_rows {
-        let Some(&(_, old_ns)) = old_rows.iter().find(|(n, _)| n == name) else {
-            println!("  {name:<44} {:>12} {:>12} {:>9}", "-", new_ns, "new");
-            continue;
-        };
-        let delta = if old_ns == 0 {
-            0.0
-        } else {
-            100.0 * (*new_ns as f64 - old_ns as f64) / old_ns as f64
-        };
-        let gated = only.is_none_or(|prefix| name.starts_with(prefix));
-        let flag = if delta > threshold && gated {
-            regressions += 1;
-            "  REGRESSION"
-        } else {
-            ""
-        };
-        println!("  {name:<44} {old_ns:>12} {new_ns:>12} {delta:>+8.1}%{flag}");
-    }
-    for (name, old_ns) in &old_rows {
-        if !new_rows.iter().any(|(n, _)| n == name) {
-            println!("  {name:<44} {old_ns:>12} {:>12} {:>9}", "-", "removed");
-        }
-    }
-    if regressions > 0 {
-        eprintln!("titalc bench-diff: {regressions} row(s) regressed beyond {threshold}%");
-        Err(ExitCode::from(EXIT_VERIFY))
-    } else {
-        Ok(())
-    }
 }
 
 /// `titalc reproduce`: print every experiment of the registry, or only the

@@ -46,7 +46,7 @@ pub use dce::{dead_code_elimination, dead_store_elimination};
 pub use licm::loop_invariant_code_motion;
 pub use lvn::{local_value_numbering, local_value_numbering_with, strength_reduce};
 pub use reassoc::{reassociate, reassociate_with};
-pub use unroll::{unroll_loops, UnrollOptions};
+pub use unroll::{unroll_loops, UnrollOptions, MAX_UNROLL};
 
 use supersym_ir::Module;
 use supersym_rules::{default_table, RuleTable};

@@ -19,6 +19,12 @@
 use std::collections::HashMap;
 use supersym_lang::ast::{BinOp, Block, Expr, FnDecl, GlobalKind, Module, Stmt, Ty};
 
+/// The largest unroll factor `titalc --unroll` accepts. The paper's
+/// largest factor, and the experiment registry's, is 10; compile time grows
+/// much faster than the factor (the `titalc bound` suite takes about ten
+/// times as long at ×32 as at ×16).
+pub const MAX_UNROLL: usize = 16;
+
 /// Options for [`unroll_loops`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnrollOptions {

@@ -490,33 +490,51 @@ fn bound_rejects_unknown_machine() {
 }
 
 /// A `-m` degree outside the ranges `sweep --grid` takes (issue width
-/// 1..=64, pipe degree 1..=16) is a usage error naming `--machine`, never
-/// a panic in a preset constructor or a huge allocation.
+/// 1..=64, pipe degree 1..=16), or an `--unroll` factor outside 1..=16, is
+/// a usage error naming its flag, never a panic in a preset constructor, a
+/// huge allocation or a compile that does not finish.
 #[test]
 fn machine_degrees_out_of_range_are_usage_errors() {
     let program = fixture("profile.tital");
     let program = program.to_str().unwrap();
-    let rows: [&[&str]; 13] = [
-        &["-m", "superscalar:0", program],
-        &["-m", "superpipelined:0", program],
-        &["-m", "vliw:0", program],
-        &["-m", "ssp:0:2", program],
-        &["-m", "ssp:2:0", program],
-        &["-m", "conflicts:0", program],
-        &["-m", "superscalar:4294967295", program],
-        &["-m", "vliw:4294967295", program],
-        &["-m", "superscalar:65", program],
-        &["-m", "ssp:1:17", program],
-        &["profile", "-m", "superpipelined:17", program],
-        &["certify", "-m", "conflicts:65", program],
-        &["bound", "-m", "superscalar:0"],
+    let rows: [(&str, &[&str]); 18] = [
+        ("--machine", &["-m", "superscalar:0", program]),
+        ("--machine", &["-m", "superpipelined:0", program]),
+        ("--machine", &["-m", "vliw:0", program]),
+        ("--machine", &["-m", "ssp:0:2", program]),
+        ("--machine", &["-m", "ssp:2:0", program]),
+        ("--machine", &["-m", "conflicts:0", program]),
+        ("--machine", &["-m", "superscalar:4294967295", program]),
+        ("--machine", &["-m", "vliw:4294967295", program]),
+        ("--machine", &["-m", "superscalar:65", program]),
+        ("--machine", &["-m", "ssp:1:17", program]),
+        (
+            "--machine",
+            &["profile", "-m", "superpipelined:17", program],
+        ),
+        ("--machine", &["certify", "-m", "conflicts:65", program]),
+        ("--machine", &["bound", "-m", "superscalar:0"]),
+        ("--unroll", &["--unroll", "careful:0", program]),
+        ("--unroll", &["--unroll", "naive:0", program]),
+        ("--unroll", &["--unroll", "careful:17", program]),
+        ("--unroll", &["--unroll", "careful:100000", program]),
+        ("--unroll", &["bound", "--unroll", "careful:100000"]),
     ];
-    for argv in rows {
+    for (flag, argv) in rows {
         let output = titalc().args(argv).output().expect("spawn titalc");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(exit_code(&output), 1, "{argv:?}: {stderr}");
-        assert!(stderr.contains("--machine"), "{argv:?}: {stderr}");
+        assert!(stderr.contains(flag), "{argv:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
+    // The ends of the unroll range stay valid.
+    for factor in ["careful:1", "careful:16"] {
+        let output = titalc()
+            .args(["--unroll", factor, program])
+            .output()
+            .expect("spawn titalc");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(exit_code(&output), 0, "{factor}: {stderr}");
     }
 }
 
@@ -561,7 +579,6 @@ fn help_documents_exit_codes() {
         "sweep",
         "torture",
         "synth",
-        "bench-diff",
         "reproduce",
     ] {
         let output = titalc()
@@ -935,87 +952,5 @@ fn commands_reject_flags_they_do_not_use() {
             "{argv:?} wrote a file"
         );
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-fn bench_snapshot(path: &Path, rows: &[(&str, u64)]) {
-    let mut text = String::from("{\"schema\":\"supersym.bench/v1\",\"rows\":[");
-    for (i, (name, mean)) in rows.iter().enumerate() {
-        if i > 0 {
-            text.push(',');
-        }
-        text.push_str(&format!(
-            "{{\"name\":\"{name}\",\"mean_ns\":{mean},\"iters\":10}}"
-        ));
-    }
-    text.push_str("]}");
-    std::fs::write(path, text).unwrap();
-}
-
-#[test]
-fn bench_diff_flags_regressions_beyond_threshold() {
-    let dir = std::env::temp_dir().join(format!("titalc-bench-diff-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let old = dir.join("old.json");
-    let new = dir.join("new.json");
-    bench_snapshot(
-        &old,
-        &[("compile/a", 1000), ("simulate/b", 1000), ("gone", 5)],
-    );
-    bench_snapshot(
-        &new,
-        &[("compile/a", 1050), ("simulate/b", 1300), ("fresh", 7)],
-    );
-
-    // +30% on simulate/b breaks the default 10% threshold: exit 3, and
-    // the row is named.
-    let output = titalc()
-        .arg("bench-diff")
-        .args([&old, &new])
-        .output()
-        .expect("spawn titalc");
-    assert_eq!(output.status.code(), Some(3), "{}", stdout(&output));
-    let text = stdout(&output);
-    assert!(text.contains("REGRESSION"), "{text}");
-    assert!(text.contains("+30.0%"), "{text}");
-    assert!(text.contains("+5.0%"), "{text}");
-    // Rows in only one snapshot are reported but never fail the diff.
-    assert!(text.contains("gone"), "{text}");
-    assert!(text.contains("fresh"), "{text}");
-
-    // A looser threshold accepts the same pair.
-    let output = titalc()
-        .args(["bench-diff", "--threshold", "50"])
-        .args([&old, &new])
-        .output()
-        .expect("spawn titalc");
-    assert_eq!(output.status.code(), Some(0), "{}", stdout(&output));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn bench_diff_distinguishes_missing_from_malformed() {
-    let dir = std::env::temp_dir().join(format!("titalc-bench-bad-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let good = dir.join("good.json");
-    bench_snapshot(&good, &[("a", 100)]);
-
-    let output = titalc()
-        .arg("bench-diff")
-        .arg(dir.join("no-such-file.json"))
-        .arg(&good)
-        .output()
-        .expect("spawn titalc");
-    assert_eq!(output.status.code(), Some(1));
-
-    let wrong = dir.join("wrong.json");
-    std::fs::write(&wrong, "{\"schema\":\"supersym.profile/v1\"}").unwrap();
-    let output = titalc()
-        .arg("bench-diff")
-        .arg(&wrong)
-        .arg(&good)
-        .output()
-        .expect("spawn titalc");
-    assert_eq!(output.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,6 +1,6 @@
 //! Shape tests: the qualitative claims of the paper, asserted against our
 //! measurements (small workload sizes; the full-size numbers live in
-//! EXPERIMENTS.md and regenerate via `cargo bench --bench paper`).
+//! EXPERIMENTS.md and regenerate via `titalc reproduce`).
 
 use supersym::experiments::run_workload;
 use supersym::machine::presets;
