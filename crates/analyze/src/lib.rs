@@ -67,8 +67,8 @@ pub use loopdep::{
 };
 pub use loops::{loop_forest, LoopForest, LoopInfo};
 pub use oracle::{
-    dependence_edges, induction_steps, scheduling_regions, ConservativeOracle, DepEdge, DepKind,
-    DependenceOracle, OracleKind, RegionFacts, SymbolicOracle,
+    dependence_edges, induction_steps, region_origins, scheduling_regions, ConservativeOracle,
+    DepEdge, DepKind, DependenceOracle, OracleKind, RegionFacts, SymbolicOracle,
 };
 pub use range::{RangeState, Ranges};
 pub use reaching::{Def, ReachState, ReachingDefs};

@@ -26,7 +26,7 @@
 //! suite: sharpened schedules execute to the same architectural state.
 
 use std::fmt;
-use supersym_isa::{Function, Instr, Operand, Reg, NUM_INT_REGS};
+use supersym_isa::{Function, Instr, Operand, Program, Reg, NUM_INT_REGS};
 
 /// The kind of an ordering constraint between two instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -340,6 +340,46 @@ pub fn scheduling_regions(func: &Function) -> Vec<(usize, usize)> {
         regions.push((start, func.instrs().len()));
     }
     regions
+}
+
+/// Where each instruction of a scheduled program came from: for every flat
+/// slot of `after` (functions in order, instructions in order), the flat
+/// slot of the instruction of `before` that it holds. `None` when `after`
+/// is not a permutation of `before` within [`scheduling_regions`]: a
+/// changed shape or label table, an instruction moved across a region
+/// boundary, or a moved control instruction.
+///
+/// Identical instructions of one region are matched in order, which is
+/// canonical: two identical non-control instructions either write the same
+/// register (WAW) or are conflicting stores, so every legal schedule keeps
+/// their relative order.
+#[must_use]
+pub fn region_origins(before: &Program, after: &Program) -> Option<Vec<u32>> {
+    if before.functions().len() != after.functions().len() {
+        return None;
+    }
+    let mut origins: Vec<u32> = Vec::with_capacity(after.static_size());
+    for (old, new) in before.functions().iter().zip(after.functions()) {
+        let (b, a) = (old.instrs(), new.instrs());
+        if b.len() != a.len() || old.label_targets() != new.label_targets() {
+            return None;
+        }
+        let base = origins.len();
+        origins.extend((base..base + b.len()).map(|slot| slot as u32));
+        for (start, end) in scheduling_regions(old) {
+            let mut taken = vec![false; end - start];
+            for p in start..end {
+                let q = (start..end).find(|&q| !taken[q - start] && b[q] == a[p])?;
+                taken[q - start] = true;
+                origins[base + p] = (base + q) as u32;
+            }
+        }
+        // Outside the regions (control instructions) nothing may move.
+        if (0..b.len()).any(|i| b[i].is_control() && b[i] != a[i]) {
+            return None;
+        }
+    }
+    Some(origins)
 }
 
 /// Every ordering constraint within a straight-line region, with memory

@@ -25,7 +25,7 @@ fn lower_tital(path: &str, source: &str) -> Result<supersym::ir::Module, ExitCod
 /// Prints diagnostics; any error among them exits `EXIT_VERIFY`.
 fn report(path: &str, diagnostics: &[supersym::verify::Diagnostic]) -> Result<(), ExitCode> {
     for diagnostic in diagnostics {
-        println!("{diagnostic}");
+        outln!("{diagnostic}");
     }
     match error_count(diagnostics) {
         0 => Ok(()),
@@ -46,13 +46,13 @@ pub(crate) fn analyze(args: &Args) -> Result<(), ExitCode> {
     let module = lower_tital(path, &read_source(path)?)?;
     if args.switch(flag::LOOPS) {
         if args.switch(flag::JSON) {
-            print!("{}", loops_json(path, &module).pretty());
+            out!("{}", loops_json(path, &module).pretty());
         } else {
-            print_loops(&module);
+            print_loops(&module)?;
         }
         return Ok(());
     }
-    print!("{}", dump_module(&module));
+    out!("{}", dump_module(&module));
     report(path, &lint_module(&module))
 }
 
@@ -93,13 +93,13 @@ fn subscript_text(
 
 /// `titalc analyze --loops` (text): the loop forest and per-loop
 /// scalar-evolution facts of every function that has loops.
-fn print_loops(module: &supersym::ir::Module) {
+fn print_loops(module: &supersym::ir::Module) -> Result<(), ExitCode> {
     let mut total = 0usize;
     for func in &module.funcs {
         let scev = function_scev(func);
         total += scev.forest.loops.len();
     }
-    println!(
+    outln!(
         "loop forest: {total} loop(s) across {} function(s)",
         module.funcs.len()
     );
@@ -108,11 +108,11 @@ fn print_loops(module: &supersym::ir::Module) {
         if scev.forest.loops.is_empty() {
             continue;
         }
-        println!("fn {}:", func.name);
+        outln!("fn {}:", func.name);
         for (index, info) in scev.forest.loops.iter().enumerate() {
             let body: Vec<String> = info.body.iter().map(|b| b.to_string()).collect();
             let latches: Vec<String> = info.latches.iter().map(|b| b.to_string()).collect();
-            println!(
+            outln!(
                 "  loop {index}: header {} depth {} body [{}] latches [{}]{}",
                 info.header,
                 info.depth,
@@ -126,14 +126,14 @@ fn print_loops(module: &supersym::ir::Module) {
             );
             let facts = &scev.loops[index];
             for iv in &facts.inductions {
-                println!(
+                outln!(
                     "    iv {} step {:+}",
                     var_name(module, func, &iv.var.to_string()),
                     iv.step
                 );
             }
             for (a, access) in facts.accesses.iter().enumerate() {
-                println!(
+                outln!(
                     "    access {a}: {} {}{} @ {}:{}",
                     if access.is_write { "write" } else { "read" },
                     module
@@ -146,13 +146,17 @@ fn print_loops(module: &supersym::ir::Module) {
                 );
             }
             for dep in &facts.deps {
-                println!(
+                outln!(
                     "    dep {} -> {}: {} {}",
-                    dep.src, dep.dst, dep.kind, dep.distance
+                    dep.src,
+                    dep.dst,
+                    dep.kind,
+                    dep.distance
                 );
             }
         }
     }
+    Ok(())
 }
 
 /// Builds the `supersym.loops/v1` JSON document for `analyze --loops`.
@@ -288,9 +292,10 @@ pub(crate) fn lint(args: &Args) -> Result<(), ExitCode> {
             TimelineError::Parse(error) => rejected(path, EXIT_PARSE, error),
             error => rejected(path, EXIT_VERIFY, error),
         })?;
-        println!(
+        outln!(
             "{path}: valid timeline ({} event(s), {} lane(s))",
-            report.events, report.lanes
+            report.events,
+            report.lanes
         );
         return Ok(());
     } else {

@@ -87,15 +87,15 @@ fn bound_suite(args: &Args) -> Result<(), ExitCode> {
             .field("machines", JsonValue::Array(machines_json))
             .field("sound", JsonValue::Bool(all_sound))
             .build();
-        print!("{}", doc.pretty());
+        out!("{}", doc.pretty());
     } else {
-        println!(
+        outln!(
             "bound study: static ILP ceiling vs measured parallelism (suite, {})",
             opt
         );
         for (name, cells) in &rows {
-            println!("  {name}");
-            println!(
+            outln!("  {name}");
+            outln!(
                 "    {:10} {:>5} {:>12} {:>12} {:>8} {:>8} {:>8} {:>8} {:>6}",
                 "benchmark",
                 "loops",
@@ -108,7 +108,7 @@ fn bound_suite(args: &Args) -> Result<(), ExitCode> {
                 "sound"
             );
             for c in cells {
-                println!(
+                outln!(
                     "    {:10} {:>5} {:>12} {:>12} {:>8.3} {:>8.3} {:>8.2} {:>8.2} {:>6}",
                     c.benchmark,
                     c.loops,
@@ -218,16 +218,16 @@ fn bound_file(args: &Args) -> Result<(), ExitCode> {
             )
             .field("sound", JsonValue::Bool(sound))
             .build();
-        print!("{}", doc.pretty());
+        out!("{}", doc.pretty());
     } else {
-        println!("machine:        {}", machine.name());
-        println!("optimization:   {}", options.opt);
-        println!(
+        outln!("machine:        {}", machine.name());
+        outln!("optimization:   {}", options.opt);
+        outln!(
             "loops:          {} innermost machine loop(s)",
             statics.len()
         );
         if !statics.is_empty() {
-            println!(
+            outln!(
                 "  {:<14} {:>6} {:>6} {:>5} {:>5} {:>6} {:>7} {:>7} {:>9} {:>7}",
                 "func",
                 "header",
@@ -241,7 +241,7 @@ fn bound_file(args: &Args) -> Result<(), ExitCode> {
                 "visits"
             );
             for (s, c) in statics.iter().zip(&counts) {
-                println!(
+                outln!(
                     "  {:<14} {:>6} {:>6} {:>5} {:>5} {:>6} {:>7.2} {:>7.2} {:>9} {:>7}",
                     func_name(s.func),
                     s.header,
@@ -256,16 +256,17 @@ fn bound_file(args: &Args) -> Result<(), ExitCode> {
                 );
             }
         }
-        println!(
+        outln!(
             "bound:          {} machine cycle(s) lower bound -> ILP ceiling {:.3}",
-            bound.lower_bound_cycles, bound.bound_ilp
+            bound.lower_bound_cycles,
+            bound.bound_ilp
         );
-        println!(
+        outln!(
             "measured:       {} machine cycle(s), ILP {:.3}",
             report.machine_cycles(),
             measured
         );
-        println!("sound:          {sound}");
+        outln!("sound:          {sound}");
     }
     if sound {
         Ok(())

@@ -39,6 +39,24 @@
 //! row, and `main` dispatches on the command name. Each command family
 //! lives in its own module.
 
+/// Prints to stdout through [`write_stdout`], returning from the enclosing
+/// function with [`EXIT_SIM`] when the write fails.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// [`out!`] with a trailing newline.
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))?
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 mod analyze;
 mod bound;
 mod run;
@@ -178,15 +196,15 @@ SWEEP:
     presets sample: a grid spec like
     `issue=1,2,4,8 pipe=1,2,4 lat=unit,titan fu=ideal,shared` is
     enumerated into cells, each workload's machine-independent front half
-    is compiled once, and worker threads schedule + simulate every
-    (workload × cell) item. Cells run under a panic trap and a fuel
-    watchdog: failures are classified (panic / timeout / reject) and
-    quarantined as records, never lost. The summary (one JSON document,
+    is compiled once and executed once, and worker threads schedule and
+    time every (workload × cell) item from that one run. Cells run under
+    a panic trap and a fuel watchdog: failures are classified (panic /
+    timeout / reject) and quarantined as records, never lost. The summary (one JSON document,
     schema supersym.sweep/v1) ends with the speedup-vs-hardware-cost
     Pareto frontier. Exits 3 when any cell was quarantined.
         --grid <SPEC>        axes: issue= pipe= lat= fu= split= (required)
         --workloads <CSV>    workload names, or `all` (default)
-        --jobs <N>           worker threads (default: 1)
+        --jobs <N>           worker threads, 1 to 256 (default: 1)
         --fuel <N>           simulator steps per cell before the watchdog
                              quarantines it as a timeout
         --checkpoint <FILE>  append one record per finished item to FILE
@@ -243,7 +261,8 @@ EXIT CODES:
     3    static checks failed: lint/verify diagnostics, IR validation,
          machine-description or register-split errors, torture findings
     4    simulation (runtime) error, or an I/O error writing a requested
-         output file (--timeline, --out, --checkpoint, --cache)
+         output file (--timeline, --out, --checkpoint, --cache) or
+         stdout (its reader has gone)
 ";
 
 /// How a flag takes its argument.
@@ -430,7 +449,7 @@ fn parse(argv: &[String]) -> Result<Args, ExitCode> {
             },
         };
         if flag.name == HELP.name {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return Err(ExitCode::SUCCESS);
         }
         args.flags.push((flag.name, value));
@@ -618,6 +637,17 @@ fn compiled<T>(result: Result<T, CompileError>, input: Option<&str>) -> Result<T
             None => eprintln!("titalc: {error}"),
         }
         ExitCode::from(error.exit_code())
+    })
+}
+
+/// The one writer behind every stdout print. A failed write — the reader
+/// closed the pipe early, say — ends titalc with [`EXIT_SIM`], the code
+/// failed `--out` and `--timeline` writes use, and a one-line message.
+fn write_stdout(text: std::fmt::Arguments<'_>) -> Result<(), ExitCode> {
+    use std::io::Write;
+    std::io::stdout().lock().write_fmt(text).map_err(|error| {
+        eprintln!("titalc: cannot write to stdout: {error}");
+        ExitCode::from(EXIT_SIM)
     })
 }
 

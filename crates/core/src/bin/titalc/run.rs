@@ -24,29 +24,29 @@ use supersym::{
 /// assembly with `--dump`; `--machines` lists the presets instead.
 pub(crate) fn run(args: &Args) -> Result<(), ExitCode> {
     if args.switch(flag::MACHINES) {
-        println!("machine presets:");
-        println!("  base                  one instruction/cycle, unit latencies");
-        println!("  multititan            MultiTitan latency model (avg superpipelining 1.7)");
-        println!("  cray1                 CRAY-1 latency model (avg superpipelining 4.4)");
-        println!("  underpipelined        issues every other cycle");
-        println!("  superscalar:<n>       ideal degree-n superscalar");
-        println!("  superpipelined:<m>    degree-m superpipelined");
-        println!("  ssp:<n>:<m>           superpipelined superscalar");
-        println!("  conflicts:<n>         degree-n superscalar with shared functional units");
-        println!("  vliw:<n>              n-wide VLIW (taken branches break the issue group)");
-        println!("  slowcycle             underpipelined: doubled latencies, slower clock");
+        outln!("machine presets:");
+        outln!("  base                  one instruction/cycle, unit latencies");
+        outln!("  multititan            MultiTitan latency model (avg superpipelining 1.7)");
+        outln!("  cray1                 CRAY-1 latency model (avg superpipelining 4.4)");
+        outln!("  underpipelined        issues every other cycle");
+        outln!("  superscalar:<n>       ideal degree-n superscalar");
+        outln!("  superpipelined:<m>    degree-m superpipelined");
+        outln!("  ssp:<n>:<m>           superpipelined superscalar");
+        outln!("  conflicts:<n>         degree-n superscalar with shared functional units");
+        outln!("  vliw:<n>              n-wide VLIW (taken branches break the issue group)");
+        outln!("  slowcycle             underpipelined: doubled latencies, slower clock");
         return Ok(());
     }
     let (_, source, options) = compile_input(args)?;
     let program = compiled(compile(&source, &options), None)?;
     if args.switch(flag::DUMP) {
-        print!("{program}");
+        out!("{program}");
         return Ok(());
     }
     let report = simulated(simulate(&program, &options.machine, SimOptions::default()))?;
-    print_headline(&options, &program, &report);
-    print_cycle_account(report.cycle_account());
-    print_class_table(report.census(), report.cycle_account());
+    print_headline(&options, &program, &report)?;
+    print_cycle_account(report.cycle_account())?;
+    print_class_table(report.census(), report.cycle_account())?;
     if args.switch(flag::CACHE) {
         let (_, caches) = simulated(simulate_with_cache(
             &program,
@@ -55,7 +55,7 @@ pub(crate) fn run(args: &Args) -> Result<(), ExitCode> {
             CacheConfig::small_direct(),
             CacheConfig::small_direct(),
         ))?;
-        println!(
+        outln!(
             "caches (8KiB):  I-miss {:.2}%  D-miss {:.2}%  ({:.4} misses/instr)",
             caches.icache.miss_rate() * 100.0,
             caches.dcache.miss_rate() * 100.0,
@@ -74,7 +74,7 @@ pub(crate) fn certify(args: &Args) -> Result<(), ExitCode> {
     let (program, certificates) = compiled(compile_certified(&source, &options), Some(path))?;
     let mut structural = 0_usize;
     let mut differential = 0_usize;
-    println!(
+    outln!(
         "translation validation: ({} optimizer pass runs)",
         certificates.len()
     );
@@ -90,12 +90,12 @@ pub(crate) fn certify(args: &Args) -> Result<(), ExitCode> {
             }
             None => "inconclusive",
         };
-        println!("  {:<18} {method}", cert.pass);
+        outln!("  {:<18} {method}", cert.pass);
         for diagnostic in &cert.diagnostics {
-            println!("    {diagnostic}");
+            outln!("    {diagnostic}");
         }
     }
-    println!(
+    outln!(
         "certified: {structural} structural, {differential} differential; \
          {} scheduled instruction(s)",
         program.static_size()
@@ -196,14 +196,14 @@ fn close_timeline(
 
 /// Prints the cycle account: every machine cycle charged to issue, one
 /// stall cause, or pipeline drain (the rows sum exactly to the total).
-fn print_cycle_account(account: &CycleAccount) {
+fn print_cycle_account(account: &CycleAccount) -> Result<(), ExitCode> {
     let total = account.machine_cycles().max(1);
     let pct = |cycles: u64| 100.0 * cycles as f64 / total as f64;
-    println!(
+    outln!(
         "cycle account:  ({} machine cycles; rows sum exactly)",
         account.machine_cycles()
     );
-    println!(
+    outln!(
         "  {:<22} {:>12} {:>7.1}%",
         "issue",
         account.issue_cycles(),
@@ -212,27 +212,31 @@ fn print_cycle_account(account: &CycleAccount) {
     for (index, name) in StallCause::NAMES.iter().enumerate() {
         let cycles = account.stall_cycles(index);
         if cycles > 0 {
-            println!("  {name:<22} {cycles:>12} {:>7.1}%", pct(cycles));
+            outln!("  {name:<22} {cycles:>12} {:>7.1}%", pct(cycles));
         }
     }
     if account.drain_cycles() > 0 {
-        println!(
+        outln!(
             "  {:<22} {:>12} {:>7.1}%",
             "drain",
             account.drain_cycles(),
             pct(account.drain_cycles())
         );
     }
+    Ok(())
 }
 
 /// Prints the dynamic class census folded together with the per-class wait
 /// rollup: one aligned table instead of two disjoint ones.
-fn print_class_table(census: &ClassCensus, account: &CycleAccount) {
+fn print_class_table(census: &ClassCensus, account: &CycleAccount) -> Result<(), ExitCode> {
     let total = census.total().max(1);
-    println!("class mix:      (dynamic count · share · cycles spent waiting to issue)");
-    println!(
+    outln!("class mix:      (dynamic count · share · cycles spent waiting to issue)");
+    outln!(
         "  {:<10} {:>12} {:>7} {:>12}",
-        "class", "count", "share", "wait cycles"
+        "class",
+        "count",
+        "share",
+        "wait cycles"
     );
     for class in InstrClass::ALL {
         let count = census.count(class);
@@ -240,59 +244,70 @@ fn print_class_table(census: &ClassCensus, account: &CycleAccount) {
         if count == 0 && wait == 0 {
             continue;
         }
-        println!(
+        outln!(
             "  {:<10} {count:>12} {:>6.1}% {wait:>12}",
             class.mnemonic(),
             100.0 * count as f64 / total as f64
         );
     }
-    println!(
+    outln!(
         "  {:<10} {:>12} {:>6.1}% {:>12}",
         "total",
         census.total(),
         100.0,
         account.total_wait_cycles()
     );
+    Ok(())
 }
 
 /// Prints per-functional-unit wait pressure (FU-busy waits only).
-fn print_fu_waits(account: &CycleAccount) {
+fn print_fu_waits(account: &CycleAccount) -> Result<(), ExitCode> {
     let rows: Vec<(&str, u64)> = account.fu_wait_cycles().filter(|&(_, w)| w > 0).collect();
     if rows.is_empty() {
-        return;
+        return Ok(());
     }
-    println!("functional-unit pressure: (cycles instructions waited on a busy unit)");
+    outln!("functional-unit pressure: (cycles instructions waited on a busy unit)");
     for (name, wait) in rows {
-        println!("  {name:<22} {wait:>12}");
+        outln!("  {name:<22} {wait:>12}");
     }
+    Ok(())
 }
 
 /// Prints the most-waited-on producer instructions.
-fn print_producers(report: &SimReport) {
+fn print_producers(report: &SimReport) -> Result<(), ExitCode> {
     let producers = report.critical_producers();
     if producers.is_empty() {
-        return;
+        return Ok(());
     }
-    println!("critical producers: (result latency most waited on)");
+    outln!("critical producers: (result latency most waited on)");
     for p in producers {
-        println!(
+        outln!(
             "  {:>8} cycles  {}:{:<4} {}",
-            p.wait_cycles, p.function, p.pc, p.instr
+            p.wait_cycles,
+            p.function,
+            p.pc,
+            p.instr
         );
     }
+    Ok(())
 }
 
 /// The summary `run` and `profile` both open with.
-fn print_headline(options: &CompileOptions, program: &Program, report: &SimReport) {
-    println!("machine:        {}", options.machine.name());
-    println!("optimization:   {}", options.opt);
-    println!("static size:    {} instructions", program.static_size());
-    println!("dynamic count:  {} instructions", report.instructions());
-    println!("time:           {:.1} base cycles", report.base_cycles());
-    println!(
+fn print_headline(
+    options: &CompileOptions,
+    program: &Program,
+    report: &SimReport,
+) -> Result<(), ExitCode> {
+    outln!("machine:        {}", options.machine.name());
+    outln!("optimization:   {}", options.opt);
+    outln!("static size:    {} instructions", program.static_size());
+    outln!("dynamic count:  {} instructions", report.instructions());
+    outln!("time:           {:.1} base cycles", report.base_cycles());
+    outln!(
         "rate:           {:.3} instructions/cycle",
         report.available_parallelism()
     );
+    Ok(())
 }
 
 /// Rounds to four decimals so the JSON report is stable to read and diff.
@@ -435,7 +450,7 @@ pub(crate) fn profile(args: &Args) -> Result<(), ExitCode> {
         close_timeline(timeline, timeline_path)?;
     }
     if args.switch(flag::JSON) {
-        print!(
+        out!(
             "{}",
             profile_json(
                 path,
@@ -449,24 +464,24 @@ pub(crate) fn profile(args: &Args) -> Result<(), ExitCode> {
         );
         return Ok(());
     }
-    print_headline(&options, &program, &report);
-    println!("compile phases:");
+    print_headline(&options, &program, &report)?;
+    outln!("compile phases:");
     for phase in &sink.memory.phases {
         let mut counters = String::new();
         for (key, value) in &phase.counters {
             counters.push_str(&format!("  {key}={value}"));
         }
-        println!(
+        outln!(
             "  {:<16} {:>9.3}ms{counters}",
             phase.name,
             phase.wall_ns as f64 / 1e6
         );
     }
     let account = report.cycle_account();
-    print_cycle_account(account);
-    print_class_table(report.census(), account);
-    print_fu_waits(account);
-    print_producers(&report);
+    print_cycle_account(account)?;
+    print_class_table(report.census(), account)?;
+    print_fu_waits(account)?;
+    print_producers(&report)?;
     Ok(())
 }
 
@@ -538,6 +553,6 @@ pub(crate) fn stats(args: &Args) -> Result<(), ExitCode> {
         )
         .field("metrics", registry.to_json())
         .build();
-    print!("{}", doc.pretty());
+    out!("{}", doc.pretty());
     Ok(())
 }

@@ -6,7 +6,7 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Mutex;
 use supersym::machine::GridSpec;
-use supersym::sweep::{PipelineCellRunner, DEFAULT_CELL_FUEL};
+use supersym::sweep::{PipelineCellRunner, DEFAULT_CELL_FUEL, MAX_JOBS};
 use supersym::trace::{JsonObject, JsonValue, MetricsRegistry, SweepItem, TimelineSink};
 use supersym::workloads::{suite, Size};
 use supersym_sweep::{
@@ -79,7 +79,12 @@ pub(crate) fn sweep(args: &Args) -> Result<(), ExitCode> {
     let opt = opt_level(args)?;
     let oracle = oracle(args)?;
     let verify = args.switch(flag::VERIFY);
-    let jobs = args.parsed(flag::JOBS, positive)?.unwrap_or(1);
+    let jobs = args
+        .parsed(flag::JOBS, |value| match value.parse() {
+            Ok(jobs) if (1..=MAX_JOBS).contains(&jobs) => Ok(jobs),
+            _ => Err(format!("expected a number from 1 to {MAX_JOBS}")),
+        })?
+        .unwrap_or(1);
     let fuel = args
         .parsed(flag::FUEL, positive)?
         .unwrap_or(DEFAULT_CELL_FUEL);
@@ -268,7 +273,7 @@ pub(crate) fn sweep(args: &Args) -> Result<(), ExitCode> {
         })
         .field("pareto", frontier_json(&frontier))
         .build();
-    println!("{}", summary.pretty());
+    outln!("{}", summary.pretty());
     if outcome.quarantined > 0 {
         Err(ExitCode::from(EXIT_VERIFY))
     } else {

@@ -32,21 +32,21 @@ pub(crate) fn torture(args: &Args) -> Result<(), ExitCode> {
             }
         };
         let replayed = report.layers.iter().map(|l| l.mutants).sum::<u64>();
-        print!("{report}");
-        println!("corpus replay: {replayed} file(s)");
+        out!("{report}");
+        outln!("corpus replay: {replayed} file(s)");
         return no_findings(report.finding_count());
     }
     if layers.is_empty() {
         layers = Layer::ALL.to_vec();
     }
     let report = run_torture(seed, iters, layers);
-    print!("{report}");
+    out!("{report}");
     if let Some(dir) = args.value(flag::CORPUS) {
         if report.finding_count() > 0 {
             match write_corpus(std::path::Path::new(dir), &report) {
                 Ok(paths) => {
                     for path in paths {
-                        println!("wrote {}", path.display());
+                        outln!("wrote {}", path.display());
                     }
                 }
                 Err(error) => {
@@ -84,11 +84,11 @@ pub(crate) fn synth(args: &Args) -> Result<(), ExitCode> {
         report.table.rules().len()
     );
     if !args.switch(flag::CHECK) {
-        print!("{text}");
+        out!("{text}");
         return Ok(());
     }
     if text == DEFAULT_TABLE_TEXT {
-        println!(
+        outln!(
             "synth check: regenerated table is byte-identical to the shipped one \
              ({} rule(s))",
             report.table.rules().len()
@@ -131,14 +131,14 @@ pub(crate) fn reproduce(args: &Args) -> Result<(), ExitCode> {
         Size::Standard
     };
     if only.is_empty() {
-        println!("==========================================================");
-        println!(" supersym: reproduction of Jouppi & Wall, ASPLOS 1989");
-        println!(" workload size: {size:?}");
-        println!("==========================================================\n");
+        outln!("==========================================================");
+        outln!(" supersym: reproduction of Jouppi & Wall, ASPLOS 1989");
+        outln!(" workload size: {size:?}");
+        outln!("==========================================================\n");
     }
     for experiment in REGISTRY {
         if only.is_empty() || only.contains(&experiment.name) {
-            println!("{}", (experiment.run)(size));
+            outln!("{}", (experiment.run)(size));
         }
     }
     Ok(())

@@ -2,6 +2,7 @@
 
 use crate::error::PipelineError;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 use supersym_analyze::OracleKind;
 use supersym_ir::Module;
@@ -382,8 +383,8 @@ fn as_observer<'a>(certifier: &'a mut Option<Certifier<'_>>) -> Option<&'a mut d
 /// source, the optimization level, the oracle and the register split —
 /// never on issue width, pipelining degree, latencies or functional units.
 /// A sweep therefore compiles each workload **once** per register split and
-/// calls [`FrontArtifact::schedule_for`] once per machine: compile-once /
-/// simulate-many. The identity `compile(s, o)` ==
+/// calls [`FrontArtifact::schedule_for`] once per machine: compile once,
+/// execute once, time many. The identity `compile(s, o)` ==
 /// `compile_front(s, o)?.schedule_for(&o.machine, o.verify)` is pinned by a
 /// unit test below; `compile` itself is implemented as exactly that
 /// composition.
@@ -393,6 +394,8 @@ pub struct FrontArtifact {
     opt: OptLevel,
     oracle: OracleKind,
     split: RegisterSplit,
+    /// [`Self::fingerprint`], computed on first use.
+    fingerprint: OnceLock<u64>,
 }
 
 impl FrontArtifact {
@@ -422,9 +425,12 @@ impl FrontArtifact {
 
     /// A stable content hash of the unscheduled program (FNV-1a over its
     /// assembly rendering) — the program half of the sweep cache key.
+    /// Rendered once per artifact; later calls return the kept value.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        supersym_rng::fnv1a_64(self.program.to_string().as_bytes())
+        *self
+            .fingerprint
+            .get_or_init(|| supersym_rng::fnv1a_64(self.program.to_string().as_bytes()))
     }
 
     /// Runs the machine-dependent back half: machine lint (under `verify`),
@@ -483,6 +489,7 @@ fn compile_ast_traced(
         opt,
         oracle,
         split,
+        ..
     } = front_ast_traced(ast, options, &mut sink, certificates)?;
     schedule_traced(
         program,
@@ -622,6 +629,7 @@ fn front_ast_traced(
         opt: options.opt,
         oracle: options.oracle,
         split: options.split,
+        fingerprint: OnceLock::new(),
     })
 }
 

@@ -5,12 +5,11 @@
 //! states. This module caches the timing model's work per *trace* — a
 //! dynamic run of instructions extending across forward branches, ended by
 //! a backward transfer, call, return, halt, or length cap. The first time
-//! a trace runs from a given entry state, every
-//! [`TimingModel::issue_with_detail`] outcome is recorded; later visits
-//! that match the same entry state verify each step cheaply (static
-//! location, control outcome, vector length, store-to-load constraint) and
-//! apply one aggregated state delta per trace instead of re-deriving
-//! constraints per instruction.
+//! a trace runs from a given entry state, every issue outcome is recorded;
+//! later visits that match the same entry state verify each step cheaply
+//! (static location, control outcome, vector length, store-to-load
+//! constraint) and apply one aggregated state delta per trace instead of
+//! re-deriving constraints per instruction.
 //!
 //! ## Exactness
 //!
@@ -47,8 +46,11 @@
 use crate::error::SimError;
 use crate::exec::{ControlEvent, Executor, StepInfo};
 use crate::report::Events;
-use crate::timing::{IssueDetail, IssueRecord, StallCause, TimingModel, NUM_STALL_KINDS};
-use supersym_isa::{Program, Reg, NUM_CLASSES};
+use crate::timing::{
+    stall_cause, IssueRecord, Issued, StaticTiming, TimingModel, FU_BUSY, NO_CAUSE,
+    NUM_STALL_KINDS, RAW, READY, VEC_DEF, WAW,
+};
+use supersym_isa::{Program, NUM_CLASSES};
 use supersym_trace::MetricsRegistry;
 
 /// Longest trace the cache will record, in instructions.
@@ -65,8 +67,7 @@ const NO_DEF: u16 = u16::MAX;
 /// Sentinel in the trace index: this entry pc has not been seen.
 const UNREGISTERED: u32 = u32::MAX;
 
-/// Packs a static location as `(func << 32) | pc` — the same encoding the
-/// timing model uses for writer identities.
+/// Packs a static location as `(func << 32) | pc`.
 #[inline]
 pub(crate) fn packed_loc(info: &StepInfo) -> u64 {
     (u64::from(info.func.index() as u32) << 32) | info.pc as u64
@@ -197,7 +198,10 @@ struct ReplayStep {
     drain_rel: u64,
     wait: u64,
     empty: u64,
-    cause: Option<StallCause>,
+    /// Binding cause index, or [`NO_CAUSE`], and the dense register a
+    /// RAW or WAW cause names.
+    cause: u8,
+    cause_reg: u8,
     advance: bool,
     count_issue: bool,
     /// Reserved unit; replay re-inserts `slot_free_rel` into its sorted
@@ -207,8 +211,8 @@ struct ReplayStep {
     /// Dense index of the written register, or [`NO_DEF`].
     def_dense: u16,
     def_ready_rel: u64,
-    /// Packed writer identity for the producer table.
-    def_writer: u64,
+    /// Writer slot for the producer table.
+    def_writer: u32,
 }
 
 impl ReplayStep {
@@ -220,7 +224,7 @@ impl ReplayStep {
             complete: base + self.complete_rel,
             drain: base + self.drain_rel,
             wait: self.wait,
-            cause: self.cause,
+            cause: stall_cause(self.cause, self.cause_reg, usize::from(self.fu)),
         }
     }
 }
@@ -268,7 +272,7 @@ struct Summary {
     live_charges: Vec<(u16, u64)>,
     /// Final `(dense reg, ready_rel, writer)` per register the trace
     /// wrote.
-    reg_finals: Vec<(u16, u64, u64)>,
+    reg_finals: Vec<(u16, u64, u32)>,
     /// Final `(unit, slot, free_rel)` for every slot of every unit the
     /// trace reserved (a reservation shifts the unit's whole sorted list,
     /// so finals cover touched units in full).
@@ -364,8 +368,8 @@ pub(crate) struct BlockCache {
     /// Registers written so far (their entry state is dead downstream).
     written: Vec<bool>,
     written_list: Vec<u16>,
-    /// Packed location of the last in-trace writer per register.
-    writer_in_trace: Vec<u64>,
+    /// Writer slot of the last in-trace writer per register.
+    writer_in_trace: Vec<u32>,
     fu_seen: Vec<bool>,
     fu_touched: Vec<u16>,
     rec_stall: [u64; NUM_STALL_KINDS],
@@ -374,8 +378,8 @@ pub(crate) struct BlockCache {
     rec_fu_waits: Vec<u64>,
     rec_issue_cycles: u64,
     rec_max_drain: u64,
-    /// `(packed writer loc, wait)`; resolved to flat slots at finish.
-    rec_static_charges: Vec<(u64, u64)>,
+    /// `(writer slot, wait)` for producers inside the trace.
+    rec_static_charges: Vec<(u32, u64)>,
     rec_live_charges: Vec<(u16, u64)>,
     pub(crate) stats: BlockCacheStats,
 }
@@ -501,18 +505,17 @@ impl BlockCache {
         self.rec_csu_rel = csu_rel;
     }
 
-    /// Captures the entry state the next instruction is about to read:
-    /// must run *before* [`TimingModel::issue_with_detail`] for the step.
-    pub(crate) fn observe_step(&mut self, info: &StepInfo, timing: &TimingModel) {
+    /// Captures the entry state the next instruction, with static facts
+    /// `entry`, is about to read: must run *before* its issue.
+    pub(crate) fn observe_step(&mut self, entry: StaticTiming, timing: &TimingModel) {
         let base = self.rec_base;
         self.rec_csu_prev = timing.control_stall_until;
-        for reg in info.uses.iter() {
-            self.observe_reg(reg, timing, base);
+        for dense in entry.uses.into_iter().chain([entry.def]) {
+            if dense != READY {
+                self.observe_reg(usize::from(dense), timing, base);
+            }
         }
-        if let Some(def) = info.def {
-            self.observe_reg(def, timing, base);
-        }
-        let fu = timing.fu_of[info.class.index()];
+        let fu = timing.fu_of[usize::from(entry.class)];
         if !self.fu_seen[fu] {
             self.fu_seen[fu] = true;
             if fu > usize::from(u16::MAX) {
@@ -520,7 +523,7 @@ impl BlockCache {
                 return;
             }
             self.fu_touched.push(fu as u16);
-            for &free in timing.fu_slots[fu].iter() {
+            for &free in timing.fu_slots(fu) {
                 let rel = free.saturating_sub(base);
                 self.rec_overflow |= rel > MAX_REL;
                 self.rec_fu_rels.push(rel);
@@ -529,8 +532,7 @@ impl BlockCache {
     }
 
     #[inline]
-    fn observe_reg(&mut self, reg: Reg, timing: &TimingModel, base: u64) {
-        let dense = reg.dense_index();
+    fn observe_reg(&mut self, dense: usize, timing: &TimingModel, base: u64) {
         if !self.observed[dense] {
             self.observed[dense] = true;
             let rel = timing.reg_ready[dense].saturating_sub(base);
@@ -540,78 +542,80 @@ impl BlockCache {
         }
     }
 
-    /// Captures one exactly-issued instruction into the pending recording.
-    /// Must run *after* [`Self::observe_step`] and the exact issue.
+    /// Captures one exactly-issued instruction (static facts `entry`,
+    /// writer slot `writer`) into the pending recording. Must run *after*
+    /// [`Self::observe_step`] and the exact issue.
     pub(crate) fn record_step(
         &mut self,
         info: &StepInfo,
-        record: IssueRecord,
-        detail: IssueDetail,
+        entry: StaticTiming,
+        writer: u32,
+        issued: &Issued,
     ) {
         let base = self.rec_base;
-        let loc = packed_loc(info);
-        if let Some(cause) = record.cause {
-            self.rec_stall[cause.index()] += detail.empty;
-            self.rec_wait[cause.index()] += record.wait;
-            self.rec_class_waits[info.class.index()] += record.wait;
-            match cause {
-                StallCause::FuBusy { unit } => self.rec_fu_waits[unit] += record.wait,
-                StallCause::RawInterlock { reg } | StallCause::WawInterlock { reg } => {
+        if issued.cause != NO_CAUSE {
+            let cause = usize::from(issued.cause);
+            self.rec_stall[cause] += issued.empty;
+            self.rec_wait[cause] += issued.wait;
+            self.rec_class_waits[usize::from(entry.class)] += issued.wait;
+            match issued.cause {
+                FU_BUSY => self.rec_fu_waits[issued.fu] += issued.wait,
+                RAW | WAW => {
                     // `written` has not yet been updated for this step's
                     // def, so it reflects exactly the writer state the
                     // exact model charged against.
-                    let dense = reg.dense_index();
+                    let dense = usize::from(issued.reg);
                     if self.written[dense] {
                         self.rec_static_charges
-                            .push((self.writer_in_trace[dense], record.wait));
+                            .push((self.writer_in_trace[dense], issued.wait));
                     } else {
-                        self.rec_live_charges.push((dense as u16, record.wait));
+                        self.rec_live_charges.push((dense as u16, issued.wait));
                     }
                 }
                 _ => {}
             }
         }
-        if detail.count_issue {
+        if issued.count_issue {
             self.rec_issue_cycles += 1;
         }
-        let drain_rel = record.drain - base;
+        let drain_rel = issued.drain - base;
         self.rec_max_drain = self.rec_max_drain.max(drain_rel);
-        let (def_dense, def_ready_rel, def_writer) = match info.def {
-            Some(def) => {
-                let dense = def.dense_index();
-                if !self.written[dense] {
-                    self.written[dense] = true;
-                    self.written_list.push(dense as u16);
-                }
-                self.writer_in_trace[dense] = loc;
-                let ready = if matches!(def, Reg::Vec(_)) {
-                    record.complete
-                } else {
-                    record.drain
-                };
-                (dense as u16, ready - base, loc)
+        let (def_dense, def_ready_rel) = if entry.def == READY {
+            (NO_DEF, 0)
+        } else {
+            let dense = usize::from(entry.def);
+            if !self.written[dense] {
+                self.written[dense] = true;
+                self.written_list.push(dense as u16);
             }
-            None => (NO_DEF, 0, 0),
+            self.writer_in_trace[dense] = writer;
+            let ready = if entry.flags & VEC_DEF != 0 {
+                issued.complete
+            } else {
+                issued.drain
+            };
+            (dense as u16, ready - base)
         };
         self.rec_steps.push(ReplayStep {
-            loc,
+            loc: packed_loc(info),
             control: info.control,
             expected_vlen: info.vlen,
-            class: info.class.index() as u16,
-            mem_rel: detail.mem_constraint.saturating_sub(base),
-            issue_rel: record.issue - base,
-            complete_rel: record.complete - base,
+            class: u16::from(entry.class),
+            mem_rel: issued.mem_constraint.saturating_sub(base),
+            issue_rel: issued.issue - base,
+            complete_rel: issued.complete - base,
             drain_rel,
-            wait: record.wait,
-            empty: detail.empty,
-            cause: record.cause,
-            advance: detail.advance,
-            count_issue: detail.count_issue,
-            fu: detail.fu as u16,
-            slot_free_rel: detail.slot_free - base,
+            wait: issued.wait,
+            empty: issued.empty,
+            cause: issued.cause,
+            cause_reg: issued.reg,
+            advance: issued.advance,
+            count_issue: issued.count_issue,
+            fu: issued.fu as u16,
+            slot_free_rel: issued.slot_free - base,
             def_dense,
             def_ready_rel,
-            def_writer,
+            def_writer: writer,
         });
     }
 
@@ -651,14 +655,10 @@ impl BlockCache {
                 summary.fu_waits.push((unit as u16, wait));
             }
         }
-        if !timing.producer_bases.is_empty() {
-            for &(packed, wait) in &self.rec_static_charges {
-                let func = (packed >> 32) as usize;
-                let pc = packed & 0xFFFF_FFFF;
-                if let Some(&fbase) = timing.producer_bases.get(func) {
-                    summary.static_charges.push(((fbase + pc) as u32, wait));
-                }
-            }
+        if !timing.producer_waits.is_empty() {
+            summary
+                .static_charges
+                .extend_from_slice(&self.rec_static_charges);
         }
         summary.live_charges = self.rec_live_charges.clone();
         for &dense in &self.written_list {
@@ -669,7 +669,7 @@ impl BlockCache {
             ));
         }
         for &fu in &self.fu_touched {
-            for (slot, &free) in timing.fu_slots[fu as usize].iter().enumerate() {
+            for (slot, &free) in timing.fu_slots(usize::from(fu)).iter().enumerate() {
                 summary
                     .fu_slot_finals
                     .push((fu, slot as u16, free.saturating_sub(base)));
@@ -751,7 +751,7 @@ impl BlockCache {
         }
         let mut rels = self.rec_fu_rels.iter();
         for &fu in &self.fu_touched {
-            for &free in &timing.fu_slots[usize::from(fu)] {
+            for &free in timing.fu_slots(usize::from(fu)) {
                 let &rel = rels
                     .next()
                     .expect("fu_rels covers every slot of every unit");
@@ -834,14 +834,7 @@ impl BlockCache {
                 if loc_ok && !control_ok && pos + 1 == steps.len() && info.mem.is_none() {
                     let last = &steps[pos];
                     apply_summary(summary, base, timing, summary.csu_excl_last_rel);
-                    let transfers = matches!(
-                        info.control,
-                        ControlEvent::Branch { taken: true }
-                            | ControlEvent::Jump
-                            | ControlEvent::Call
-                            | ControlEvent::Return
-                    );
-                    if transfers {
+                    if info.control.transfers() {
                         if !timing.perfect_branch_prediction {
                             timing.control_stall_until =
                                 timing.control_stall_until.max(base + last.complete_rel);
@@ -895,24 +888,25 @@ impl BlockCache {
     }
 }
 
-/// Applies one recorded step's state updates — the same writes
-/// [`TimingModel::issue_with_detail`] performs, fed from recorded values —
+/// Applies one recorded step's state updates — the same writes the issue
+/// body performs, fed from recorded values —
 /// except the memory-scoreboard writes, which bulk verification already
 /// applied live.
 fn apply_recorded_step(step: &ReplayStep, base: u64, timing: &mut TimingModel) {
     let t = base + step.issue_rel;
     let complete = base + step.complete_rel;
     let drain = base + step.drain_rel;
-    if let Some(cause) = step.cause {
-        timing.stall_cycles[cause.index()] += step.empty;
-        timing.wait_cycles[cause.index()] += step.wait;
+    if step.cause != NO_CAUSE {
+        let cause = usize::from(step.cause);
+        timing.stall_cycles[cause] += step.empty;
+        timing.wait_cycles[cause] += step.wait;
         timing.class_waits[step.class as usize] += step.wait;
-        match cause {
-            StallCause::FuBusy { unit } => timing.fu_waits[unit] += step.wait,
-            StallCause::RawInterlock { reg } | StallCause::WawInterlock { reg } => {
+        match step.cause {
+            FU_BUSY => timing.fu_waits[usize::from(step.fu)] += step.wait,
+            RAW | WAW => {
                 // The writer table is updated in step order below, so this
                 // live lookup sees exactly what the exact model saw.
-                timing.charge_producer(reg, step.wait);
+                timing.charge_producer(usize::from(step.cause_reg), step.wait);
             }
             _ => {}
         }
@@ -934,14 +928,7 @@ fn apply_recorded_step(step: &ReplayStep, base: u64, timing: &mut TimingModel) {
     timing.last_completion = timing.last_completion.max(drain);
     // The recorded control outcome is verified equal to the live one, so
     // applying from the recording is applying the live behaviour.
-    let transfers = matches!(
-        step.control,
-        ControlEvent::Branch { taken: true }
-            | ControlEvent::Jump
-            | ControlEvent::Call
-            | ControlEvent::Return
-    );
-    if transfers {
+    if step.control.transfers() {
         if !timing.perfect_branch_prediction {
             timing.control_stall_until = timing.control_stall_until.max(complete);
         }
@@ -982,14 +969,14 @@ fn apply_summary(s: &Summary, base: u64, timing: &mut TimingModel, csu_rel: u64)
     // Live charges read the writer table before `reg_finals` below
     // overwrites it — the order the exact model observed.
     for &(dense, wait) in &s.live_charges {
-        timing.charge_producer_dense(dense as usize, wait);
+        timing.charge_producer(usize::from(dense), wait);
     }
     for &(dense, ready_rel, writer) in &s.reg_finals {
         timing.reg_ready[dense as usize] = base + ready_rel;
         timing.reg_writer[dense as usize] = writer;
     }
     for &(fu, slot, free_rel) in &s.fu_slot_finals {
-        timing.fu_slots[fu as usize][slot as usize] = base + free_rel;
+        timing.set_fu_slot(usize::from(fu), usize::from(slot), base + free_rel);
     }
     timing.instructions += u64::from(s.len);
 }
@@ -1007,7 +994,7 @@ fn spec_matches(spec: &Spec, timing: &TimingModel, base: u64, flags: u64) -> boo
     }
     let mut rels = spec.fu_rels.iter();
     for &fu in &spec.fu_units {
-        for &live in &timing.fu_slots[fu as usize] {
+        for &live in timing.fu_slots(usize::from(fu)) {
             let &rel = rels
                 .next()
                 .expect("fu_rels covers every slot of every unit");

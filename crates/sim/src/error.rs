@@ -43,6 +43,10 @@ pub enum SimError {
         /// The offending label slot.
         slot: u32,
     },
+    /// A program handed to [`Recording::replay`](crate::Recording::replay)
+    /// is not a region permutation of the recorded program under the slot
+    /// map it came with.
+    NotARecordedPermutation,
 }
 
 impl fmt::Display for SimError {
@@ -66,6 +70,9 @@ impl fmt::Display for SimError {
             }
             SimError::DanglingLabel { func, slot } => {
                 write!(f, "branch in {func} to label slot {slot} with no target")
+            }
+            SimError::NotARecordedPermutation => {
+                f.write_str("program is not a region permutation of the recorded program")
             }
         }
     }

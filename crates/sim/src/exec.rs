@@ -33,6 +33,20 @@ pub enum ControlEvent {
     Halt,
 }
 
+impl ControlEvent {
+    /// Whether control left the fall-through path: a taken branch, a
+    /// jump, a call or a return.
+    #[must_use]
+    #[inline]
+    pub fn transfers(self) -> bool {
+        match self {
+            ControlEvent::Branch { taken } => taken,
+            ControlEvent::Jump | ControlEvent::Call | ControlEvent::Return => true,
+            ControlEvent::None | ControlEvent::Halt => false,
+        }
+    }
+}
+
 /// What one executed instruction did, as needed by timing and cache models.
 #[derive(Debug, Clone, Copy)]
 pub struct StepInfo {

@@ -19,6 +19,9 @@
 //!   parallelism, and the class census; [`simulate_with_sink`] additionally
 //!   streams one [`IssueEvent`](supersym_trace::IssueEvent) per dynamic
 //!   instruction to a [`TraceSink`](supersym_trace::TraceSink);
+//! * [`Recording`] — execute once, time many: one recorded run times any
+//!   region permutation of its program (every sweep cell of one compiled
+//!   front) without executing it again;
 //! * [`CycleAccount`] / [`StallCause`] — stall attribution: every cycle an
 //!   instruction waits is charged to exactly one cause, and
 //!   `issue + Σ stalls + drain == machine_cycles` holds exactly;
@@ -58,6 +61,7 @@ mod exec;
 mod limits;
 mod metrics;
 mod paged;
+mod replay;
 mod report;
 mod timing;
 
@@ -69,6 +73,7 @@ pub use error::SimError;
 pub use exec::{ControlEvent, ExecOptions, Executor, StepInfo};
 pub use limits::{measure_limit, DataflowLimit, LimitOptions};
 pub use metrics::MetricsSink;
+pub use replay::{Recording, MAX_RECORDING_BYTES};
 pub use report::{
     simulate, simulate_with_cache, simulate_with_sink, CacheReport, CriticalProducer, SimOptions,
     SimReport,

@@ -4,7 +4,7 @@ use crate::block::{BlockCache, BlockCacheStats, BlockStart};
 use crate::cache::{CacheConfig, CacheStats, CacheSystem};
 use crate::error::SimError;
 use crate::exec::{ExecOptions, Executor, StepInfo};
-use crate::timing::{CycleAccount, IssueRecord, TimingModel};
+use crate::timing::{CycleAccount, IssueRecord, TimingModel, TimingTable};
 use supersym_isa::{ClassCensus, Program};
 use supersym_machine::MachineConfig;
 use supersym_trace::{BlockReplayEvent, IssueEvent, TraceSink};
@@ -232,21 +232,28 @@ fn run_lockstep(
     mut events: impl Events,
 ) -> Result<SimReport, SimError> {
     let mut exec = Executor::new(program, options.exec)?;
+    let table = TimingTable::new(program);
     let mut timing = TimingModel::new(config, options.exec.memory_words);
     timing.track_producers(program);
     let stats = if options.block_cache {
         let mut cache = BlockCache::new(program, &timing);
-        run_bulk(&mut cache, &mut exec, &mut timing, &mut events)?;
+        run_bulk(&mut cache, &table, &mut exec, &mut timing, &mut events)?;
         cache.stats
     } else {
         // Cache off: the exact reference loop, no trace bookkeeping at all.
         while let Some(info) = exec.step()? {
-            let record = timing.issue(&info);
-            events.issue(&info, || record);
+            let issued = timing.issue_step(&table, &info);
+            events.issue(&info, || issued.record());
         }
         BlockCacheStats::default()
     };
-    Ok(finish_report(program, config, &exec, &timing, stats))
+    Ok(finish_report(
+        program,
+        config,
+        *exec.census(),
+        &timing,
+        stats,
+    ))
 }
 
 /// The cached loop behind both [`simulate`] and [`simulate_with_sink`].
@@ -263,6 +270,7 @@ fn run_lockstep(
 /// unreachable-in-practice guards, not trace-state leaks.
 fn run_bulk<E: Events>(
     cache: &mut BlockCache,
+    table: &TimingTable,
     exec: &mut Executor<'_>,
     timing: &mut TimingModel,
     events: &mut E,
@@ -277,10 +285,12 @@ fn run_bulk<E: Events>(
             BlockStart::Record { block } => {
                 let mut info = first;
                 loop {
-                    cache.observe_step(&info, timing);
-                    let (record, detail) = timing.issue_with_detail(&info);
-                    cache.record_step(&info, record, detail);
-                    events.issue(&info, || record);
+                    let slot = table.slot(info.func, info.pc);
+                    let facts = table.entries()[slot];
+                    cache.observe_step(facts, timing);
+                    let issued = timing.issue_step(table, &info);
+                    cache.record_step(&info, facts, slot as u32, &issued);
+                    events.issue(&info, || issued.record());
                     if trace_break(info.control, info.pc, exec.cursor(), entry)
                         || cache.recorded_len() >= MAX_TRACE_LEN
                     {
@@ -307,8 +317,8 @@ fn run_bulk<E: Events>(
                     // instruction starts a fresh trace, so divergent paths
                     // (loop exits, data-dependent branches) earn their own
                     // cached traces instead of replaying nothing.
-                    let record = timing.issue(&diverged);
-                    events.issue(&diverged, || record);
+                    let issued = timing.issue_step(table, &diverged);
+                    events.issue(&diverged, || issued.record());
                     continue 'trace;
                 }
             },
@@ -318,10 +328,10 @@ fn run_bulk<E: Events>(
 
 /// Resolves the timing model's flat producer table against the program and
 /// assembles the report.
-fn finish_report(
+pub(crate) fn finish_report(
     program: &Program,
     config: &MachineConfig,
-    exec: &Executor<'_>,
+    census: ClassCensus,
     timing: &TimingModel,
     block_cache: BlockCacheStats,
 ) -> SimReport {
@@ -355,7 +365,7 @@ fn finish_report(
         instructions: timing.instructions(),
         machine_cycles: timing.machine_cycles(),
         base_cycles: timing.base_cycles(),
-        census: *exec.census(),
+        census,
         account: timing.account(),
         producers,
         block_cache,
@@ -407,11 +417,12 @@ pub fn simulate_with_cache(
     }
 
     let mut exec = Executor::new(program, options.exec)?;
+    let table = TimingTable::new(program);
     let mut timing = TimingModel::new(config, options.exec.memory_words);
     timing.track_producers(program);
     let mut caches = CacheSystem::new(icache, dcache);
     while let Some(info) = exec.step()? {
-        timing.issue(&info);
+        timing.issue_step(&table, &info);
         caches.fetch(bases[info.func.index()] + info.pc as u64);
         if let Some((addr, _)) = info.mem {
             caches.data(addr as u64);
@@ -420,7 +431,13 @@ pub fn simulate_with_cache(
     // The I/D-cache path drives the exact timing model directly (the block
     // cache memoizes only the issue model, not the cache system's access
     // stream — see DESIGN.md §12).
-    let report = finish_report(program, config, &exec, &timing, BlockCacheStats::default());
+    let report = finish_report(
+        program,
+        config,
+        *exec.census(),
+        &timing,
+        BlockCacheStats::default(),
+    );
     let cache_report = CacheReport {
         icache: caches.icache_stats(),
         dcache: caches.dcache_stats(),

@@ -30,15 +30,18 @@
 //! machines (Figure 4-2) *emerges* from this model rather than being
 //! hard-coded.
 
-use crate::exec::{ControlEvent, StepInfo};
+use crate::exec::StepInfo;
 use crate::paged::PagedArray;
-use supersym_isa::{InstrClass, Program, Reg, NUM_CLASSES};
+use supersym_isa::{
+    FpReg, FuncId, Instr, InstrClass, IntReg, Program, Reg, Uses, VecReg, NUM_CLASSES, NUM_FP_REGS,
+    NUM_INT_REGS, NUM_VEC_REGS,
+};
 use supersym_machine::MachineConfig;
 
 pub(crate) const NUM_REGS: usize = Reg::DENSE_SPACE;
 
 /// Sentinel in the writer table: this register has never been written.
-pub(crate) const NO_WRITER: u64 = u64::MAX;
+pub(crate) const NO_WRITER: u32 = u32::MAX;
 
 /// Why a dynamic instruction could not issue sooner.
 ///
@@ -263,11 +266,165 @@ impl CycleAccount {
     }
 }
 
-/// Everything [`TimingModel::issue_with_detail`] knows about an issue
-/// beyond the public [`IssueRecord`] — the internal choices the block
-/// cache (see [`crate::block`]) must capture to replay the issue exactly.
+/// Dense register index that is never written: its readiness is always 0,
+/// so it pads a use list, and stands for "no destination", without a
+/// branch in the issue arithmetic.
+pub(crate) const READY: u8 = NUM_REGS as u8;
+
+/// [`StaticTiming::flags`] bit: the instruction touches memory.
+pub(crate) const MEM: u8 = 1;
+/// [`StaticTiming::flags`] bit: the memory access is a store.
+pub(crate) const STORE: u8 = 2;
+/// [`StaticTiming::flags`] bit: a vector instruction (takes the vector
+/// length).
+pub(crate) const VECTOR: u8 = 4;
+/// [`StaticTiming::flags`] bit: the destination is a vector register,
+/// whose result chains at completion instead of after its drain.
+pub(crate) const VEC_DEF: u8 = 8;
+
+/// Cause indices as in [`StallCause::index`].
+pub(crate) const RAW: u8 = 0;
+pub(crate) const WAW: u8 = 1;
+pub(crate) const FU_BUSY: u8 = 2;
+const STORE_LOAD: u8 = 3;
+const CONTROL: u8 = 4;
+const ISSUE_WIDTH: u8 = 5;
+/// No stall: the instruction issued at the frontier.
+pub(crate) const NO_CAUSE: u8 = NUM_STALL_KINDS as u8;
+
+/// Binding-cause priority: bit `i` of the tie mask is the `i`-th earliest
+/// pipeline stage (control, RAW, WAW, store-to-load, functional unit), so
+/// the mask's lowest set bit names the cause.
+const BY_PRIORITY: [u8; 5] = [CONTROL, RAW, WAW, STORE_LOAD, FU_BUSY];
+
+/// The register behind a dense index (the inverse of
+/// [`Reg::dense_index`]).
+fn reg_of_dense(dense: usize) -> Reg {
+    const FP: usize = NUM_INT_REGS;
+    const VEC: usize = NUM_INT_REGS + NUM_FP_REGS;
+    match dense {
+        0..FP => Reg::Int(IntReg::new_unchecked(dense as u8)),
+        FP..VEC => Reg::Fp(FpReg::new_unchecked((dense - FP) as u8)),
+        _ if dense < VEC + NUM_VEC_REGS => Reg::Vec(VecReg::new_unchecked((dense - VEC) as u8)),
+        _ => Reg::Vl,
+    }
+}
+
+/// The payload-carrying cause for a compact `(cause index, register,
+/// unit)` triple; `None` for [`NO_CAUSE`].
+pub(crate) fn stall_cause(cause: u8, reg: u8, unit: usize) -> Option<StallCause> {
+    Some(match cause {
+        RAW => StallCause::RawInterlock {
+            reg: reg_of_dense(usize::from(reg)),
+        },
+        WAW => StallCause::WawInterlock {
+            reg: reg_of_dense(usize::from(reg)),
+        },
+        FU_BUSY => StallCause::FuBusy { unit },
+        STORE_LOAD => StallCause::StoreLoadConflict,
+        CONTROL => StallCause::ControlTransfer,
+        ISSUE_WIDTH => StallCause::IssueWidth,
+        _ => return None,
+    })
+}
+
+/// Everything the issue arithmetic needs to know about one static
+/// instruction: dense use and def indices padded with [`READY`], the
+/// class, and the memory and vector flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StaticTiming {
+    pub(crate) uses: [u8; 3],
+    pub(crate) def: u8,
+    pub(crate) class: u8,
+    pub(crate) flags: u8,
+}
+
+impl StaticTiming {
+    fn new(class: InstrClass, uses: &Uses, def: Option<Reg>, mem: Option<bool>) -> Self {
+        let mut dense = [READY; 3];
+        for (slot, reg) in dense.iter_mut().zip(uses.iter()) {
+            *slot = reg.dense_index() as u8;
+        }
+        let mut flags = match mem {
+            Some(true) => MEM | STORE,
+            Some(false) => MEM,
+            None => 0,
+        };
+        if matches!(def, Some(Reg::Vec(_))) {
+            flags |= VEC_DEF;
+        }
+        StaticTiming {
+            uses: dense,
+            def: def.map_or(READY, |reg| reg.dense_index() as u8),
+            class: class.index() as u8,
+            flags,
+        }
+    }
+
+    fn of_instr(instr: &Instr) -> Self {
+        let mut timing = Self::new(
+            instr.class(),
+            &instr.uses(),
+            instr.def(),
+            instr.mem_ref().map(|(_, is_store)| is_store),
+        );
+        if instr.uses().iter().any(|reg| reg == Reg::Vl) {
+            timing.flags |= VECTOR;
+        }
+        timing
+    }
+}
+
+/// The timing facts of every static instruction of one program, flat in
+/// program order. A static instruction's flat slot is also its writer id
+/// in the critical-producer table.
+#[derive(Debug, Clone)]
+pub(crate) struct TimingTable {
+    entries: Vec<StaticTiming>,
+    bases: Vec<u32>,
+}
+
+impl TimingTable {
+    pub(crate) fn new(program: &Program) -> Self {
+        let mut entries = Vec::with_capacity(program.static_size());
+        let mut bases = Vec::with_capacity(program.functions().len());
+        for function in program.functions() {
+            bases.push(entries.len() as u32);
+            entries.extend(function.instrs().iter().map(StaticTiming::of_instr));
+        }
+        TimingTable { entries, bases }
+    }
+
+    /// The flat slot of `(func, pc)`.
+    #[inline(always)]
+    pub(crate) fn slot(&self, func: FuncId, pc: usize) -> usize {
+        self.bases[func.index()] as usize + pc
+    }
+
+    /// The flat slot of each function's first instruction.
+    pub(crate) fn bases(&self) -> &[u32] {
+        &self.bases
+    }
+
+    pub(crate) fn entries(&self) -> &[StaticTiming] {
+        &self.entries
+    }
+}
+
+/// What one issue decided, compactly: the [`IssueRecord`] fields with the
+/// cause as an index, plus the internal choices the block cache (see
+/// [`crate::block`]) records to replay the issue exactly. Computing the
+/// extra fields is free — every one is a value the issue had in hand.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct IssueDetail {
+pub(crate) struct Issued {
+    pub(crate) issue: u64,
+    pub(crate) complete: u64,
+    pub(crate) drain: u64,
+    pub(crate) wait: u64,
+    /// [`StallCause::index`] of the binding cause, or [`NO_CAUSE`].
+    pub(crate) cause: u8,
+    /// Dense register a RAW or WAW cause names.
+    pub(crate) reg: u8,
     /// Functional unit the instruction reserved.
     pub(crate) fu: usize,
     /// Absolute cycle the reserved slot frees again.
@@ -280,6 +437,19 @@ pub(crate) struct IssueDetail {
     pub(crate) count_issue: bool,
     /// The store-to-load constraint value (max `mem_ready` over the span).
     pub(crate) mem_constraint: u64,
+}
+
+impl Issued {
+    /// The public record, with the cause's payload built.
+    pub(crate) fn record(&self) -> IssueRecord {
+        IssueRecord {
+            issue: self.issue,
+            complete: self.complete,
+            drain: self.drain,
+            wait: self.wait,
+            cause: stall_cause(self.cause, self.reg, self.fu),
+        }
+    }
 }
 
 /// The pipeline timing model. Feed it the [`StepInfo`] stream produced by an
@@ -296,9 +466,17 @@ pub struct TimingModel {
     pub(crate) taken_branch_breaks_issue: bool,
     pub(crate) latency: [u64; NUM_CLASSES],
     pub(crate) fu_of: [usize; NUM_CLASSES],
-    pub(crate) fu_issue_latency: Vec<u64>,
-    pub(crate) fu_slots: Vec<Vec<u64>>,
-    pub(crate) reg_ready: [u64; NUM_REGS],
+    /// Issue latency of each class's unit.
+    class_busy: [u64; NUM_CLASSES],
+    /// `fu_span` of each class's unit.
+    class_span: [(u32, u32); NUM_CLASSES],
+    /// `(start, end)` of each unit's slots in `fu_free`.
+    fu_span: Vec<(u32, u32)>,
+    /// Free times of every copy of every unit, flat; each unit's slice is
+    /// kept sorted ascending.
+    fu_free: Vec<u64>,
+    /// Readiness per dense register, plus the never-written [`READY`].
+    pub(crate) reg_ready: [u64; NUM_REGS + 1],
     pub(crate) mem_ready: PagedArray<u64>,
     pub(crate) cur_cycle: u64,
     pub(crate) issued_in_cycle: u32,
@@ -313,14 +491,14 @@ pub struct TimingModel {
     pub(crate) class_waits: [u64; NUM_CLASSES],
     pub(crate) fu_names: Vec<String>,
     pub(crate) fu_waits: Vec<u64>,
-    /// Last writer of each register, packed `(func << 32) | pc`, or
-    /// [`NO_WRITER`]. Feeds the critical-producer table.
-    pub(crate) reg_writer: [u64; NUM_REGS],
-    /// Static-instruction base offset per function; empty when producer
-    /// tracking is off.
-    pub(crate) producer_bases: Vec<u64>,
+    /// Flat slot of the last writer of each register, or [`NO_WRITER`].
+    /// Feeds the critical-producer table.
+    pub(crate) reg_writer: [u32; NUM_REGS + 1],
+    /// Static-instruction base offset per function, for [`Self::issue`];
+    /// empty when producer tracking is off.
+    producer_bases: Vec<u32>,
     /// Wait cycles charged to each static instruction (flat, indexed by
-    /// `producer_bases[func] + pc`); empty when producer tracking is off.
+    /// writer slot); empty when producer tracking is off.
     pub(crate) producer_waits: Vec<u64>,
 }
 
@@ -335,21 +513,16 @@ impl TimingModel {
         let fu_of = std::array::from_fn(|i| {
             config.unit_of(InstrClass::from_index(i).expect("dense class index"))
         });
-        let fu_issue_latency = config
-            .functional_units()
-            .iter()
-            .map(|fu| u64::from(fu.issue_latency()))
-            .collect();
-        let fu_slots: Vec<Vec<u64>> = config
-            .functional_units()
-            .iter()
-            .map(|fu| vec![0_u64; fu.multiplicity() as usize])
-            .collect();
-        let fu_names: Vec<String> = config
-            .functional_units()
-            .iter()
-            .map(|fu| fu.name().to_string())
-            .collect();
+        let units = config.functional_units();
+        let mut fu_span = Vec::with_capacity(units.len());
+        let mut next = 0_u32;
+        for fu in units {
+            fu_span.push((next, next + fu.multiplicity()));
+            next += fu.multiplicity();
+        }
+        let class_busy = fu_of.map(|fu: usize| u64::from(units[fu].issue_latency()));
+        let class_span = fu_of.map(|fu: usize| fu_span[fu]);
+        let fu_names: Vec<String> = units.iter().map(|fu| fu.name().to_string()).collect();
         let fu_waits = vec![0_u64; fu_names.len()];
         TimingModel {
             width: config.issue_width(),
@@ -358,9 +531,11 @@ impl TimingModel {
             taken_branch_breaks_issue: config.taken_branch_breaks_issue(),
             latency,
             fu_of,
-            fu_issue_latency,
-            fu_slots,
-            reg_ready: [0; NUM_REGS],
+            class_busy,
+            class_span,
+            fu_span,
+            fu_free: vec![0; next as usize],
+            reg_ready: [0; NUM_REGS + 1],
             mem_ready: PagedArray::new(memory_words),
             cur_cycle: 0,
             issued_in_cycle: 0,
@@ -373,7 +548,7 @@ impl TimingModel {
             class_waits: [0; NUM_CLASSES],
             fu_names,
             fu_waits,
-            reg_writer: [NO_WRITER; NUM_REGS],
+            reg_writer: [NO_WRITER; NUM_REGS + 1],
             producer_bases: Vec::new(),
             producer_waits: Vec::new(),
         }
@@ -385,10 +560,10 @@ impl TimingModel {
     /// per-issue cost is a couple of array writes.
     pub fn track_producers(&mut self, program: &Program) {
         let mut bases = Vec::with_capacity(program.functions().len());
-        let mut next = 0_u64;
+        let mut next = 0_u32;
         for function in program.functions() {
             bases.push(next);
-            next += function.instrs().len() as u64;
+            next += function.instrs().len() as u32;
         }
         self.producer_bases = bases;
         self.producer_waits = vec![0; next as usize];
@@ -397,61 +572,93 @@ impl TimingModel {
     /// Issues one dynamic instruction, returning its issue and completion
     /// cycles (in machine cycles).
     pub fn issue(&mut self, info: &StepInfo) -> IssueRecord {
-        self.issue_with_detail(info).0
+        let timing = StaticTiming::new(
+            info.class,
+            &info.uses,
+            info.def,
+            info.mem.map(|(_, is_store)| is_store),
+        );
+        let writer = self
+            .producer_bases
+            .get(info.func.index())
+            .map_or(NO_WRITER, |&base| base + info.pc as u32);
+        let addr = info.mem.map_or(0, |(addr, _)| addr);
+        self.issue_static(timing, writer, addr, info.vlen, info.control.transfers())
+            .record()
     }
 
-    /// [`issue`](Self::issue), also returning the internal choices the
-    /// block timing cache records (slot picked, empty cycles charged,
-    /// whether the cycle frontier advanced). Computing the detail is free —
-    /// every field is a value `issue` already had in hand.
-    pub(crate) fn issue_with_detail(&mut self, info: &StepInfo) -> (IssueRecord, IssueDetail) {
-        let class_index = info.class.index();
+    /// [`issue`](Self::issue) for a step of the program `table` describes:
+    /// the static facts come from the table, not from the step.
+    #[inline(always)]
+    pub(crate) fn issue_step(&mut self, table: &TimingTable, info: &StepInfo) -> Issued {
+        let slot = table.slot(info.func, info.pc);
+        self.issue_static(
+            table.entries[slot],
+            slot as u32,
+            info.mem.map_or(0, |(addr, _)| addr),
+            info.vlen,
+            info.control.transfers(),
+        )
+    }
+
+    /// The one issue body every simulation path runs: `timing` holds the
+    /// instruction's static facts, `writer` its producer-table slot, `addr`
+    /// its first memory word (read only for memory instructions), `vlen`
+    /// its vector length and `transfers` whether it transferred control.
+    #[inline(always)]
+    pub(crate) fn issue_static(
+        &mut self,
+        timing: StaticTiming,
+        writer: u32,
+        addr: usize,
+        vlen: u32,
+        transfers: bool,
+    ) -> Issued {
+        let class = usize::from(timing.class);
 
         // Each constraint's required cycle is computed separately so the
         // binding one — the constraint whose requirement equals the final
         // issue cycle — can be identified for stall attribution.
 
-        // RAW: all operands ready. Remember the latest-ready operand.
-        let mut raw_ready = 0_u64;
-        let mut raw_reg: Option<Reg> = None;
-        for reg in info.uses.iter() {
-            let ready = self.reg_ready[reg.dense_index()];
-            if ready > raw_ready {
-                raw_ready = ready;
-                raw_reg = Some(reg);
-            }
-        }
+        // RAW: all operands ready (unused operand slots read `READY`).
+        let ready = &self.reg_ready;
+        let raw_ready = ready[usize::from(timing.uses[0])]
+            .max(ready[usize::from(timing.uses[1])])
+            .max(ready[usize::from(timing.uses[2])]);
         // Conservative WAW: previous write to the destination completed.
-        let waw_ready = info.def.map_or(0, |def| self.reg_ready[def.dense_index()]);
+        let waw_ready = ready[usize::from(timing.def)];
         // Store-to-load (and store-to-store) interlocks on the actual words.
+        let mem_end = if timing.flags & MEM != 0 {
+            (addr + vlen.max(1) as usize).min(self.mem_ready.len())
+        } else {
+            addr
+        };
         let mut mem_ready_at = 0_u64;
-        if let Some((addr, _)) = info.mem {
-            let span = (info.vlen.max(1)) as usize;
-            for a in addr..(addr + span).min(self.mem_ready.len()) {
-                mem_ready_at = mem_ready_at.max(self.mem_ready.get(a));
-            }
+        for a in addr..mem_end {
+            mem_ready_at = mem_ready_at.max(self.mem_ready.get(a));
         }
 
         // Vector instructions occupy their functional unit for one cycle
         // per element (the paper's Figure 2-8 strings of E's) and chain:
         // dependent vector operations may start as soon as the first
         // element emerges, i.e. after the class's operation latency.
-        let vector_occupancy = u64::from(info.vlen).saturating_sub(1);
+        let vector_occupancy = u64::from(vlen).saturating_sub(1);
 
-        // Functional unit: the earliest-free copy. `fu_slots[fu]` is kept
-        // sorted ascending, so the earliest-free copy is always the front.
-        // Timing depends only on the *multiset* of free times, so the
-        // canonical order changes nothing observable — but it makes the
-        // scoreboard state a pure function of issue history, which the
-        // trace cache's entry-state keys rely on.
-        let fu = self.fu_of[class_index];
-        let slot_free = self.fu_slots[fu][0];
+        // Functional unit: the earliest-free copy. Each unit's free times
+        // are kept sorted ascending, so the earliest-free copy is always
+        // the front. Timing depends only on the *multiset* of free times,
+        // so the canonical order changes nothing observable — but it makes
+        // the scoreboard state a pure function of issue history, which the
+        // block cache's entry-state keys rely on.
+        let fu = self.fu_of[class];
+        let (first, end) = self.class_span[class];
+        let slot_free = self.fu_free[first as usize];
 
         // In-order issue: never before the previous instruction's cycle,
         // nor before an outstanding control transfer allows fetch to
         // resume, nor before every constraint above is satisfied.
-        let mut t = self
-            .cur_cycle
+        let cur = self.cur_cycle;
+        let mut t = cur
             .max(self.control_stall_until)
             .max(raw_ready)
             .max(waw_ready)
@@ -461,107 +668,99 @@ impl TimingModel {
         // The binding constraint: whichever required exactly the final
         // cycle. Ties break toward the earlier pipeline stage (control
         // first, functional unit last) so attribution is deterministic.
-        let mut cause = if t > self.cur_cycle {
-            Some(if self.control_stall_until == t {
-                StallCause::ControlTransfer
-            } else if raw_ready == t {
-                StallCause::RawInterlock {
-                    reg: raw_reg.expect("a binding RAW interlock names its operand"),
-                }
-            } else if waw_ready == t {
-                StallCause::WawInterlock {
-                    reg: info.def.expect("a binding WAW interlock names its def"),
-                }
-            } else if mem_ready_at == t {
-                StallCause::StoreLoadConflict
-            } else {
-                StallCause::FuBusy { unit: fu }
-            })
-        } else {
-            None
-        };
-
-        // Issue-width limit for the chosen cycle. A width deferral moves
-        // the instruction exactly one cycle, into a cycle where it *does*
-        // issue — so `IssueWidth` never produces an empty cycle.
-        if t == self.cur_cycle && self.issued_in_cycle >= self.width {
+        // A width deferral moves the instruction exactly one cycle, into a
+        // cycle where it *does* issue — so `IssueWidth` never produces an
+        // empty cycle.
+        let mut cause = NO_CAUSE;
+        if t > cur {
+            let ties = u32::from(self.control_stall_until == t)
+                | u32::from(raw_ready == t) << 1
+                | u32::from(waw_ready == t) << 2
+                | u32::from(mem_ready_at == t) << 3
+                | 1 << 4;
+            cause = BY_PRIORITY[ties.trailing_zeros() as usize];
+        } else if self.issued_in_cycle >= self.width {
             t += 1;
-            cause = Some(StallCause::IssueWidth);
+            cause = ISSUE_WIDTH;
         }
 
         // Cycle view: machine cycles that passed with no issue at all are
-        // charged to this instruction's binding constraint.
-        let empty_cycles = if self.instructions == 0 {
+        // charged to this instruction's binding constraint. Wait view:
+        // cycles *this instruction* waited past the frontier.
+        let empty = if self.instructions == 0 {
             t
         } else {
-            t.saturating_sub(self.cur_cycle + 1)
+            t.saturating_sub(cur + 1)
         };
-        // Wait view: cycles *this instruction* waited past the frontier.
-        let wait = t - self.cur_cycle;
-        if let Some(cause) = cause {
-            self.stall_cycles[cause.index()] += empty_cycles;
-            self.wait_cycles[cause.index()] += wait;
-            self.class_waits[class_index] += wait;
+        let wait = t - cur;
+        let mut reg = READY;
+        if cause != NO_CAUSE {
+            let index = usize::from(cause);
+            self.stall_cycles[index] += empty;
+            self.wait_cycles[index] += wait;
+            self.class_waits[class] += wait;
             match cause {
-                StallCause::FuBusy { unit } => self.fu_waits[unit] += wait,
-                StallCause::RawInterlock { reg } | StallCause::WawInterlock { reg } => {
-                    self.charge_producer(reg, wait);
+                FU_BUSY => self.fu_waits[fu] += wait,
+                RAW => {
+                    // The first operand whose readiness binds.
+                    let binds = |i: usize| ready[usize::from(timing.uses[i])] == t;
+                    reg = if binds(0) {
+                        timing.uses[0]
+                    } else if binds(1) {
+                        timing.uses[1]
+                    } else {
+                        timing.uses[2]
+                    };
+                    self.charge_producer(usize::from(reg), wait);
+                }
+                WAW => {
+                    reg = timing.def;
+                    self.charge_producer(usize::from(reg), wait);
                 }
                 _ => {}
             }
         } else {
-            debug_assert_eq!(empty_cycles, 0);
+            debug_assert_eq!(empty, 0);
             debug_assert_eq!(wait, 0);
         }
 
         // Commit the issue.
-        let advance = t > self.cur_cycle;
+        let advance = t > cur;
         let count_issue = advance || self.instructions == 0;
-        if count_issue {
-            self.issue_cycles += 1;
-        }
+        self.issue_cycles += u64::from(count_issue);
         if advance {
             self.cur_cycle = t;
             self.issued_in_cycle = 1;
         } else {
             self.issued_in_cycle += 1;
         }
-        let slot_free_at = t + self.fu_issue_latency[fu].max(1 + vector_occupancy);
-        self.reserve_slot(fu, slot_free_at);
+        let slot_free_at = t + self.class_busy[class].max(1 + vector_occupancy);
+        self.reserve(first, end, slot_free_at);
 
         // Chain point: when the first result element is available. For
         // scalar instructions this is also the completion time.
-        let complete = t + self.latency[class_index];
+        let complete = t + self.latency[class];
         let drain = complete + vector_occupancy;
-        if let Some(def) = info.def {
+        if timing.def != READY {
             // Vector results chain (consumers are vector instructions that
             // also proceed element-by-element); scalar results are ready at
             // completion.
-            let ready = if matches!(def, Reg::Vec(_)) {
+            let def = usize::from(timing.def);
+            self.reg_ready[def] = if timing.flags & VEC_DEF != 0 {
                 complete
             } else {
                 drain
             };
-            self.reg_ready[def.dense_index()] = ready;
-            self.reg_writer[def.dense_index()] =
-                (u64::from(info.func.index() as u32) << 32) | info.pc as u64;
+            self.reg_writer[def] = writer;
         }
-        if let Some((addr, is_store)) = info.mem {
-            let span = (info.vlen.max(1)) as usize;
-            if is_store {
-                for a in addr..(addr + span).min(self.mem_ready.len()) {
-                    self.mem_ready.set(a, drain);
-                }
+        if timing.flags & STORE != 0 {
+            for a in addr..mem_end {
+                self.mem_ready.set(a, drain);
             }
         }
         self.last_completion = self.last_completion.max(drain);
 
         // Control transfers.
-        let transfers = match info.control {
-            ControlEvent::Branch { taken } => taken,
-            ControlEvent::Jump | ControlEvent::Call | ControlEvent::Return => true,
-            ControlEvent::None | ControlEvent::Halt => false,
-        };
         if transfers {
             if !self.perfect_branch_prediction {
                 self.control_stall_until = self.control_stall_until.max(complete);
@@ -572,30 +771,47 @@ impl TimingModel {
         }
 
         self.instructions += 1;
-        (
-            IssueRecord {
-                issue: t,
-                complete,
-                drain,
-                wait,
-                cause,
-            },
-            IssueDetail {
-                fu,
-                slot_free: slot_free_at,
-                empty: empty_cycles,
-                advance,
-                count_issue,
-                mem_constraint: mem_ready_at,
-            },
-        )
+        Issued {
+            issue: t,
+            complete,
+            drain,
+            wait,
+            cause,
+            reg,
+            fu,
+            slot_free: slot_free_at,
+            empty,
+            advance,
+            count_issue,
+            mem_constraint: mem_ready_at,
+        }
+    }
+
+    /// The free times of every copy of `fu`, sorted ascending.
+    pub(crate) fn fu_slots(&self, fu: usize) -> &[u64] {
+        let (start, end) = self.fu_span[fu];
+        &self.fu_free[start as usize..end as usize]
+    }
+
+    /// Overwrites one copy's free time (the block cache's replay applies
+    /// recorded finals, which keep each unit's slice sorted).
+    pub(crate) fn set_fu_slot(&mut self, fu: usize, slot: usize, free_at: u64) {
+        self.fu_free[self.fu_span[fu].0 as usize + slot] = free_at;
     }
 
     /// Consumes the earliest-free slot of `fu` (the front of its sorted
     /// free-time list) and re-inserts it freeing at `free_at`, preserving
-    /// the ascending order `issue_with_detail` relies on.
+    /// the ascending order the issue body relies on.
     pub(crate) fn reserve_slot(&mut self, fu: usize, free_at: u64) {
-        let slots = &mut self.fu_slots[fu];
+        let (start, end) = self.fu_span[fu];
+        self.reserve(start, end, free_at);
+    }
+
+    /// [`reserve_slot`](Self::reserve_slot) on the copies at
+    /// `fu_free[start..end]`.
+    #[inline(always)]
+    fn reserve(&mut self, start: u32, end: u32, free_at: u64) {
+        let slots = &mut self.fu_free[start as usize..end as usize];
         let mut i = 0;
         while i + 1 < slots.len() && slots[i + 1] < free_at {
             slots[i] = slots[i + 1];
@@ -604,29 +820,14 @@ impl TimingModel {
         slots[i] = free_at;
     }
 
-    /// Charges `wait` cycles to the static instruction that last wrote
-    /// `reg` (no-op when producer tracking is off or the register was
-    /// live-in).
-    pub(crate) fn charge_producer(&mut self, reg: Reg, wait: u64) {
-        self.charge_producer_dense(reg.dense_index(), wait);
-    }
-
-    /// [`charge_producer`](Self::charge_producer) by dense register index
-    /// (the trace cache records registers densely).
-    pub(crate) fn charge_producer_dense(&mut self, dense: usize, wait: u64) {
-        if self.producer_bases.is_empty() {
-            return;
-        }
-        let packed = self.reg_writer[dense];
-        if packed == NO_WRITER {
-            return;
-        }
-        let func = (packed >> 32) as usize;
-        let pc = packed & 0xFFFF_FFFF;
-        if let Some(base) = self.producer_bases.get(func) {
-            if let Some(slot) = self.producer_waits.get_mut((base + pc) as usize) {
-                *slot += wait;
-            }
+    /// Charges `wait` cycles to the static instruction that last wrote the
+    /// register at dense index `dense` (no-op when producer tracking is off
+    /// or the register was live-in).
+    #[inline]
+    pub(crate) fn charge_producer(&mut self, dense: usize, wait: u64) {
+        let writer = self.reg_writer[dense];
+        if let Some(slot) = self.producer_waits.get_mut(writer as usize) {
+            *slot += wait;
         }
     }
 
@@ -683,7 +884,7 @@ impl TimingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ExecOptions, Executor};
+    use crate::exec::{ControlEvent, ExecOptions, Executor};
     use supersym_isa::{AsmBuilder, IntReg};
     use supersym_machine::presets;
 
@@ -783,7 +984,7 @@ mod tests {
             }
             timing.base_cycles()
         }
-        use crate::exec::{ControlEvent, StepInfo};
+        use crate::exec::StepInfo;
         let ss = burst(&presets::ideal_superscalar(3), 6);
         let sp = burst(&presets::superpipelined(3), 6);
         assert!(sp > ss, "superpipelined {sp} should trail superscalar {ss}");
@@ -875,7 +1076,7 @@ mod tests {
 
     #[test]
     fn vector_occupancy_and_chaining() {
-        use crate::exec::{ControlEvent, StepInfo};
+        use crate::exec::StepInfo;
         use supersym_isa::{FpOp, Instr, VecReg};
         let config = presets::base();
         let mut timing = TimingModel::new(&config, 256);

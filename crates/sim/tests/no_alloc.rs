@@ -17,7 +17,7 @@ use std::cell::Cell;
 
 use supersym_isa::{AsmBuilder, IntReg, Program};
 use supersym_machine::presets;
-use supersym_sim::{simulate, simulate_with_sink, MetricsSink, SimOptions};
+use supersym_sim::{simulate, simulate_with_sink, ExecOptions, MetricsSink, Recording, SimOptions};
 use supersym_trace::{NullSink, TimelineSink};
 
 struct CountingAlloc;
@@ -61,6 +61,27 @@ fn counted_loop(iters: i64) -> Program {
     asm.movi(r(3), 0);
     asm.bind(top);
     asm.add(r(3), r(3), 2.into());
+    asm.sub(r(1), r(1), 1.into());
+    asm.cmp_gt(r(2), r(1), 0.into());
+    asm.br_true(r(2), top);
+    asm.halt();
+    asm.finish_program()
+}
+
+/// A loop that stores to and loads from a word that walks down a
+/// 256-word window, so the recording holds one-byte address deltas and an
+/// escaped full address at every wrap.
+fn memory_loop(iters: i64) -> Program {
+    let mut asm = AsmBuilder::new("main");
+    let r = |i: u8| IntReg::new(i).unwrap();
+    let top = asm.new_label();
+    asm.movi(r(1), iters);
+    asm.movi(r(3), 0);
+    asm.bind(top);
+    asm.and(r(6), r(1), 255.into());
+    asm.store(r(3), r(6), 100);
+    asm.load(r(5), r(6), 100);
+    asm.add(r(3), r(5), 2.into());
     asm.sub(r(1), r(1), 1.into());
     asm.cmp_gt(r(2), r(1), 0.into());
     asm.br_true(r(2), top);
@@ -136,6 +157,48 @@ fn block_cache_replay_allocates_nothing_once_warmed() {
         allocs_short,
         allocs_long,
         "warmed block-cache replay allocated per dynamic instruction: \
+         {allocs_short} allocations for {} instructions vs \
+         {allocs_long} for {}",
+        report_short.instructions(),
+        report_long.instructions(),
+    );
+}
+
+#[test]
+fn recorded_replay_allocates_nothing_per_instruction() {
+    // Replay reads its recording and grows nothing per instruction: the
+    // same static program, recorded over 100× more dynamic instructions,
+    // replays with exactly as many allocations.
+    let short = memory_loop(100);
+    let long = memory_loop(10_000);
+    let config = presets::ideal_superscalar(4);
+    let record = |program: &Program| {
+        Recording::record(program, ExecOptions::default())
+            .unwrap()
+            .expect("a small run stays under the cap")
+    };
+    let (short_run, long_run) = (record(&short), record(&long));
+    // Unscheduled, each program is its own region permutation.
+    let origins: Vec<u32> = (0..short.static_size() as u32).collect();
+
+    short_run.replay(&short, &origins, &config).unwrap();
+
+    let (report_short, allocs_short) =
+        allocations_during(|| short_run.replay(&short, &origins, &config).unwrap());
+    let (report_long, allocs_long) =
+        allocations_during(|| long_run.replay(&long, &origins, &config).unwrap());
+
+    assert!(report_long.instructions() > 50 * report_short.instructions());
+    assert_eq!(
+        report_long.cycle_account(),
+        simulate(&long, &config, SimOptions::default())
+            .unwrap()
+            .cycle_account()
+    );
+    assert_eq!(
+        allocs_short,
+        allocs_long,
+        "replay allocated per dynamic instruction: \
          {allocs_short} allocations for {} instructions vs \
          {allocs_long} for {}",
         report_short.instructions(),

@@ -1,4 +1,5 @@
-//! The fan-out engine: compile-once / simulate-many with fault isolation.
+//! The fan-out engine: compile once, execute once, time many, with fault
+//! isolation.
 //!
 //! Work items are the (cell × workload) product in canonical order
 //! (`index = cell_index * workloads + workload_index`, cells enumerated
@@ -117,7 +118,8 @@ impl FaultInjection {
 /// Engine knobs.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Worker threads (minimum 1).
+    /// Worker threads (minimum 1; `titalc sweep --jobs` takes 1..=
+    /// [`MAX_JOBS`]). No more workers start than there are items to run.
     pub jobs: usize,
     /// Opt-in wall deadline per item, milliseconds. Items that finish over
     /// the deadline are reclassified as timeouts; leave `None` (the
@@ -130,6 +132,10 @@ pub struct SweepConfig {
     /// panics are classified into records; their backtraces are noise.
     pub quiet: bool,
 }
+
+/// The most worker threads `titalc sweep --jobs` accepts: far above any
+/// host's core count, and far below what would exhaust its threads.
+pub const MAX_JOBS: usize = 256;
 
 impl Default for SweepConfig {
     fn default() -> Self {
@@ -337,7 +343,7 @@ pub fn run_sweep_observed(
         let cells = &cells;
         let pending = &pending;
         let run_started = &run_started;
-        for worker in 0..config.jobs.max(1) {
+        for worker in 0..config.jobs.max(1).min(pending.len()) {
             scope.spawn(move || loop {
                 if journal_error.lock().unwrap().is_some() {
                     break;

@@ -3,10 +3,10 @@
 //! The paper's figures sample ~11 hand-picked machine presets. This crate
 //! turns that sample into a map: a [`supersym_machine::GridSpec`] names a
 //! cross-product lattice of configurations, and the sweep engine fans the
-//! (workload × cell) product out across worker threads, compile-once /
-//! simulate-many (the machine-independent front half of the pipeline is
-//! compiled once per workload and register split; only scheduling and
-//! simulation repeat per cell).
+//! (workload × cell) product out across worker threads: compile once,
+//! execute once, time many (the machine-independent front half of the
+//! pipeline is compiled and executed once per workload and register split;
+//! only scheduling and timing repeat per cell).
 //!
 //! The engine is built to survive its own cells:
 //!
@@ -38,6 +38,6 @@ pub use checkpoint::{
 };
 pub use engine::{
     cache_from_records, run_sweep, run_sweep_observed, CellFailure, CellRunner, FaultInjection,
-    ResultCache, SweepConfig, SweepMetrics, SweepObserver, SweepOutcome, SweepPlan,
+    ResultCache, SweepConfig, SweepMetrics, SweepObserver, SweepOutcome, SweepPlan, MAX_JOBS,
 };
 pub use report::{aggregate_cells, frontier_json, pareto_frontier, CellSummary, ParetoPoint};

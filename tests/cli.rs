@@ -497,7 +497,7 @@ fn bound_rejects_unknown_machine() {
 fn machine_degrees_out_of_range_are_usage_errors() {
     let program = fixture("profile.tital");
     let program = program.to_str().unwrap();
-    let rows: [(&str, &[&str]); 18] = [
+    let rows: [(&str, &[&str]); 21] = [
         ("--machine", &["-m", "superscalar:0", program]),
         ("--machine", &["-m", "superpipelined:0", program]),
         ("--machine", &["-m", "vliw:0", program]),
@@ -519,6 +519,12 @@ fn machine_degrees_out_of_range_are_usage_errors() {
         ("--unroll", &["--unroll", "careful:17", program]),
         ("--unroll", &["--unroll", "careful:100000", program]),
         ("--unroll", &["bound", "--unroll", "careful:100000"]),
+        ("--jobs", &["sweep", "--grid", "issue=1", "--jobs", "0"]),
+        ("--jobs", &["sweep", "--grid", "issue=1", "--jobs", "257"]),
+        (
+            "--jobs",
+            &["sweep", "--grid", "issue=1", "--jobs", "100000"],
+        ),
     ];
     for (flag, argv) in rows {
         let output = titalc().args(argv).output().expect("spawn titalc");
@@ -550,6 +556,39 @@ fn corpus(name: &str) -> PathBuf {
 
 fn exit_code(output: &Output) -> i32 {
     output.status.code().expect("titalc terminated by signal")
+}
+
+#[test]
+fn closed_stdout_exits_4_without_panicking() {
+    // The reader takes the first line and goes away while the second
+    // experiment still computes, so titalc's next write fails after the
+    // reader is gone: that must end the run with exit 4, not a panic.
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = titalc()
+        .args([
+            "reproduce",
+            "--small",
+            "--only",
+            "fig1_1",
+            "--only",
+            "vector_equivalence",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn titalc");
+    let mut first = String::new();
+    {
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        stdout.read_line(&mut first).expect("read the first line");
+    }
+    let output = child.wait_with_output().expect("wait for titalc");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(first.starts_with("Figure 1-1"), "{first}");
+    assert_eq!(exit_code(&output), 4, "{stderr}");
+    assert!(stderr.contains("stdout"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -1080,6 +1080,296 @@ fn block_cache_is_bit_exact_on_all_presets() {
 }
 
 /// All paper presets pass the machine-description lint with no errors.
+/// Execute once, time many: one recorded run of a front program times
+/// every scheduled variant of it exactly as the cache-off exact model
+/// simulates that variant — cycle account, machine cycles, instruction
+/// count, census and critical producers — and a run that exhausts its
+/// fuel or traps does so in every variant. Checked on the real workloads
+/// over the study presets and a seeded sample of grid cells, a vector loop
+/// (recorded vector lengths), random scheduled regions, and
+/// torture-mutated sources, whose traps and fuel exhaustion take the
+/// fallbacks.
+#[test]
+fn recorded_replay_is_bit_exact() {
+    use supersym::analyze::region_origins;
+    use supersym::compile_front;
+    use supersym::isa::{FpOp, Function, Instr, IntReg, Program, VecReg};
+    use supersym::machine::{GridCell, GridSpec, MachineConfig, SplitModel};
+    use supersym::sim::{simulate, Recording, SimError};
+    use supersym_torture::mutate::{mutate_asm, mutate_source};
+
+    let exec = ExecOptions {
+        memory_words: 1 << 16,
+        max_steps: 200_000,
+        ..ExecOptions::default()
+    };
+    let exact = SimOptions {
+        exec,
+        block_cache: false,
+    };
+
+    /// How the variants checked were timed.
+    #[derive(Debug, Default)]
+    struct Tally {
+        replayed: u32,
+        fuel: u32,
+        trapped: u32,
+    }
+
+    // Records `front` once and holds every variant's simulation to it;
+    // returns the recording's bytes per recorded instruction.
+    let check =
+        |label: &str, front: &Program, variants: &[(MachineConfig, Program)], tally: &mut Tally| {
+            let recording = Recording::record(front, exec);
+            for (machine, scheduled) in variants {
+                let what = format!("{label} on {}", machine.name());
+                let reference = simulate(scheduled, machine, exact);
+                match &recording {
+                    Ok(Some(recording)) => {
+                        let origins = region_origins(front, scheduled)
+                            .unwrap_or_else(|| panic!("{what}: not a region permutation"));
+                        let replayed = recording
+                            .replay(scheduled, &origins, machine)
+                            .unwrap_or_else(|e| panic!("{what}: replay failed: {e}"));
+                        let reference = reference
+                            .unwrap_or_else(|e| panic!("{what}: the recorded run completed, {e}"));
+                        assert_eq!(
+                            replayed.cycle_account(),
+                            reference.cycle_account(),
+                            "{what}: cycle accounts diverge"
+                        );
+                        assert_eq!(
+                            replayed.machine_cycles(),
+                            reference.machine_cycles(),
+                            "{what}: machine cycles diverge"
+                        );
+                        assert_eq!(
+                            replayed.instructions(),
+                            reference.instructions(),
+                            "{what}: instruction counts diverge"
+                        );
+                        assert_eq!(
+                            replayed.census(),
+                            reference.census(),
+                            "{what}: censuses diverge"
+                        );
+                        assert_eq!(
+                            replayed.critical_producers(),
+                            reference.critical_producers(),
+                            "{what}: producer tables diverge"
+                        );
+                        tally.replayed += 1;
+                    }
+                    Err(SimError::StepLimitExceeded { limit }) => {
+                        assert_eq!(
+                            reference.err(),
+                            Some(SimError::StepLimitExceeded { limit: *limit }),
+                            "{what}: fuel outcomes diverge"
+                        );
+                        tally.fuel += 1;
+                    }
+                    Err(_) => {
+                        assert!(
+                            reference.is_err(),
+                            "{what}: the recorded run trapped, the variant completed"
+                        );
+                        tally.trapped += 1;
+                    }
+                    Ok(None) => panic!("{label}: recording over the cap"),
+                }
+            }
+            match &recording {
+                Ok(Some(recording)) => recording.bytes() as f64 / recording.instructions() as f64,
+                _ => 0.0,
+            }
+        };
+    let machines = presets::study();
+    let scheduled_on = |front: &Program, machines: &[MachineConfig]| {
+        machines
+            .iter()
+            .map(|machine| {
+                let mut program = front.clone();
+                supersym::codegen::schedule_program(&mut program, machine);
+                (machine.clone(), program)
+            })
+            .collect::<Vec<_>>()
+    };
+
+    // Real workloads, split by split: the study presets on the default
+    // split, and a seeded sample of grid cells on both.
+    let grid = GridSpec::parse(
+        "issue=1,2,3,4,6,8 pipe=1,2,3,4 lat=unit,titan,cray fu=ideal,shared split=default,wide",
+    )
+    .expect("grid parses");
+    let cells = grid.cells();
+    let mut rng = Rng::new(0x0E7E_C07E);
+    let sample: Vec<GridCell> = (0..8)
+        .map(|_| cells[rng.below(cells.len() as u64) as usize])
+        .collect();
+    let workloads = [
+        ("linpack8", supersym::workloads::linpack(8).source),
+        ("livermore32", supersym::workloads::livermore(32, 1).source),
+        ("whet1", supersym::workloads::whet(1).source),
+    ];
+    let mut tally = Tally::default();
+    for (label, source) in &workloads {
+        for split in [SplitModel::Default, SplitModel::Wide] {
+            let options = CompileOptions::new(OptLevel::O4, &presets::base())
+                .with_split(split.split())
+                .with_verify(false);
+            let front = compile_front(source, &options).expect("paper workloads compile");
+            let mut targets: Vec<MachineConfig> = if split == SplitModel::Default {
+                machines.clone()
+            } else {
+                Vec::new()
+            };
+            targets.extend(
+                sample
+                    .iter()
+                    .filter(|cell| cell.split == split)
+                    .map(GridCell::config),
+            );
+            let variants: Vec<_> = targets
+                .into_iter()
+                .map(|machine| {
+                    let program = front.schedule_for(&machine, false).expect("schedules");
+                    (machine, program)
+                })
+                .collect();
+            let density = check(
+                &format!("{label}/{}", split.name()),
+                front.program(),
+                &variants,
+                &mut tally,
+            );
+            // Compact: under a byte per executed instruction.
+            assert!(density < 1.0, "{label}: {density} bytes per instruction");
+        }
+    }
+    assert_eq!(tally.replayed, 3 * (11 + 8), "{tally:?}");
+
+    // A strip-mined vector loop whose vector length shrinks every strip,
+    // with chained vector loads, operations and stores.
+    let vector_loop = {
+        let r = |i: u8| IntReg::new(i).unwrap();
+        let (v1, v2) = (VecReg::new(1).unwrap(), VecReg::new(2).unwrap());
+        let mut asm = supersym::isa::AsmBuilder::new("main");
+        let top = asm.new_label();
+        asm.movi(r(9), 0);
+        asm.movi(r(11), 64);
+        asm.bind(top);
+        asm.setvl(r(11));
+        asm.vload(v2, r(9), 0);
+        asm.vop(FpOp::FAdd, v1, v1, v2);
+        asm.vop(FpOp::FMul, v2, v1, v2);
+        asm.vstore(v2, r(9), 1024);
+        asm.add(r(9), r(9), 64.into());
+        asm.sub(r(11), r(11), 7.into());
+        asm.cmp_gt(r(10), r(11), 0.into());
+        asm.br_true(r(10), top);
+        asm.halt();
+        let mut program = asm.finish_program();
+        program.alloc_globals(2048);
+        for addr in 0..1024 {
+            program.add_data(addr, (addr as f64 * 0.5).to_bits() as i64);
+        }
+        program
+    };
+    check(
+        "vector loop",
+        &vector_loop,
+        &scheduled_on(&vector_loop, &machines),
+        &mut tally,
+    );
+
+    // Random scheduled regions (straight-line).
+    for seed in 400..416_u64 {
+        let mut rng = Rng::new(seed);
+        let len = 2 + rng.below(24) as usize;
+        let mut instrs = random_region(&mut rng, len);
+        instrs.push(Instr::Halt);
+        let mut program = Program::new();
+        let id = program.add_function(Function::new("region", instrs, vec![0]));
+        program.set_entry(id);
+        check(
+            &format!("region{seed}"),
+            &program,
+            &scheduled_on(&program, &machines),
+            &mut tally,
+        );
+    }
+    let regular = tally.replayed;
+    assert_eq!(regular, 3 * (11 + 8) + 11 * 17, "{tally:?}");
+
+    // Torture-mutated sources: irregular control flow, traps and fuel
+    // exhaustion. Only mutants that still compile are compared.
+    let mut rng = SplitMix64::new(0x0010_CACE);
+    for index in 0..48_u32 {
+        let source = mutate_source(&mut rng, &[]).to_text();
+        let options = CompileOptions::new(OptLevel::O4, &presets::base()).with_verify(false);
+        let Ok(front) = compile_front(&source, &options) else {
+            continue;
+        };
+        let variants: Vec<_> = machines
+            .iter()
+            .filter_map(|machine| {
+                let program = front.schedule_for(machine, false).ok()?;
+                Some((machine.clone(), program))
+            })
+            .collect();
+        check(
+            &format!("mutant{index}"),
+            front.program(),
+            &variants,
+            &mut tally,
+        );
+    }
+    // Assembly mutants: swapped, dropped and duplicated instructions and
+    // corrupted operands make loops that never end and stores that fault.
+    for _ in 0..96_u32 {
+        let text = mutate_asm(&mut rng, &[]).to_text();
+        let Ok(program) = supersym::isa::parse_program(&text) else {
+            continue;
+        };
+        if program.validate().is_err() {
+            continue;
+        }
+        check(
+            "asm mutant",
+            &program,
+            &scheduled_on(&program, &machines),
+            &mut tally,
+        );
+    }
+    // A loop whose store walks below address 0 traps in its fourth visit.
+    let trapping = {
+        let r = |i: u8| IntReg::new(i).unwrap();
+        let mut asm = supersym::isa::AsmBuilder::new("main");
+        let top = asm.new_label();
+        asm.movi(r(14), 10);
+        asm.movi(r(9), 0);
+        asm.bind(top);
+        asm.store(r(9), r(14), 0);
+        asm.add(r(9), r(9), 1.into());
+        asm.sub(r(14), r(14), 4.into());
+        asm.mul(r(15), r(9), r(9).into());
+        asm.cmp_gt(r(13), r(14), (-100).into());
+        asm.br_true(r(13), top);
+        asm.halt();
+        asm.finish_program()
+    };
+    check(
+        "trapping loop",
+        &trapping,
+        &scheduled_on(&trapping, &machines),
+        &mut tally,
+    );
+    assert!(
+        tally.replayed > regular && tally.fuel > 0 && tally.trapped > 0,
+        "every path must be taken: {tally:?}"
+    );
+}
+
 #[test]
 fn paper_presets_pass_machine_lint() {
     use supersym::verify::Severity;
