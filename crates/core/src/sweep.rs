@@ -8,7 +8,8 @@
 //! only grid axis the front half can see), executes each front program
 //! once, on the first cell that needs it, and then per cell runs only the
 //! machine-dependent back half — scheduling, plus timing the scheduled
-//! program from the front's [`Recording`].
+//! program from the front's [`Recording`], cycles only: a cell keeps no
+//! stall account.
 //!
 //! Scheduling only permutes instructions inside scheduling regions, so
 //! every cell of one front follows the recorded run's path, branch
@@ -27,7 +28,7 @@ use std::sync::OnceLock;
 use supersym_analyze::{region_origins, OracleKind};
 use supersym_isa::Program;
 use supersym_machine::{presets, GridCell, MachineConfig, SplitModel};
-use supersym_sim::{simulate, ExecOptions, Recording, SimError, SimOptions, SimReport};
+use supersym_sim::{simulate, ExecOptions, Recording, SimError, SimOptions};
 use supersym_workloads::Workload;
 
 /// Re-export: the pipeline-blind engine (`supersym-sweep`), so drivers can
@@ -145,29 +146,38 @@ impl PipelineCellRunner {
         }
     }
 
-    /// Times `program`, a schedule of `front`, from the front's one
-    /// recorded run (made now if `recorded` is still empty), or by
-    /// simulating it where that run cannot serve.
-    fn time(
-        &self,
-        recorded: &OnceLock<Recorded>,
-        front: &FrontArtifact,
-        program: &Program,
-        machine: &MachineConfig,
-    ) -> Result<SimReport, SimError> {
-        let recorded = recorded.get_or_init(|| {
+    /// The one recorded run of `workload`'s front under `split`, made now
+    /// if no cell has needed it yet.
+    fn recorded(&self, workload: usize, split: usize, front: &FrontArtifact) -> &Recorded {
+        self.recordings[workload][split].get_or_init(|| {
             match Recording::record(front.program(), self.exec_options()) {
                 Ok(Some(recording)) => Recorded::Run(Box::new(recording)),
                 Err(SimError::StepLimitExceeded { limit }) => Recorded::Fuel(limit),
                 Ok(None) | Err(_) => Recorded::Simulate,
             }
-        });
+        })
+    }
+
+    /// Times `program`, a schedule of `front`, from the front's one
+    /// recorded run, cycles only, or by simulating it where that run cannot
+    /// serve.
+    fn time(
+        &self,
+        recorded: &Recorded,
+        front: &FrontArtifact,
+        program: &Program,
+        machine: &MachineConfig,
+    ) -> Result<CellMetrics, SimError> {
         match recorded {
             Recorded::Run(recording) => {
                 let replayed = region_origins(front.program(), program)
-                    .and_then(|origins| recording.replay(program, &origins, machine).ok());
-                if let Some(report) = replayed {
-                    return Ok(report);
+                    .and_then(|origins| recording.replay_cycles(program, &origins, machine).ok());
+                if let Some(cycles) = replayed {
+                    return Ok(CellMetrics {
+                        instructions: cycles.instructions,
+                        machine_cycles: cycles.machine_cycles,
+                        base_cycles: cycles.base_cycles,
+                    });
                 }
             }
             Recorded::Fuel(limit) => return Err(SimError::StepLimitExceeded { limit: *limit }),
@@ -177,7 +187,12 @@ impl PipelineCellRunner {
             exec: self.exec_options(),
             ..SimOptions::default()
         };
-        simulate(program, machine, options)
+        let report = simulate(program, machine, options)?;
+        Ok(CellMetrics {
+            instructions: report.instructions(),
+            machine_cycles: report.machine_cycles(),
+            base_cycles: report.base_cycles(),
+        })
     }
 }
 
@@ -206,18 +221,15 @@ impl CellRunner for PipelineCellRunner {
                     stage: e.stage().to_string(),
                     message: e.to_string(),
                 })?;
-        match self.time(&self.recordings[workload][split], front, &program, &machine) {
-            Ok(report) => Ok(CellMetrics {
-                instructions: report.instructions(),
-                machine_cycles: report.machine_cycles(),
-                base_cycles: report.base_cycles(),
-            }),
-            Err(SimError::StepLimitExceeded { limit }) => Err(CellFailure::Fuel { limit }),
-            Err(e) => Err(CellFailure::Reject {
-                stage: "sim".to_string(),
-                message: e.to_string(),
-            }),
-        }
+        let recorded = self.recorded(workload, split, front);
+        self.time(recorded, front, &program, &machine)
+            .map_err(|e| match e {
+                SimError::StepLimitExceeded { limit } => CellFailure::Fuel { limit },
+                e => CellFailure::Reject {
+                    stage: "sim".to_string(),
+                    message: e.to_string(),
+                },
+            })
     }
 }
 
@@ -322,6 +334,44 @@ mod tests {
                 record.cell
             );
         }
+    }
+
+    #[test]
+    fn every_sweep_study_item_replays() {
+        // A cell that falls back to `simulate` writes the same record as a
+        // replayed one, so only this test sees a fallback: every front of
+        // the study must record, and every cell's schedule must map onto
+        // its front through `region_origins`.
+        let workloads = supersym_workloads::suite(Size::Small);
+        let runner = PipelineCellRunner::new(
+            &workloads,
+            OptLevel::O4,
+            OracleKind::Symbolic,
+            DEFAULT_CELL_FUEL,
+            false,
+        );
+        let grid =
+            GridSpec::parse("issue=1,2,4,8 pipe=1,2,4 lat=unit,titan fu=ideal,shared").unwrap();
+        let mut items = 0;
+        for cell in grid.cells() {
+            let machine = cell.config();
+            let split = split_index(cell.split);
+            for (workload, name) in runner.names().iter().enumerate() {
+                let front = runner.fronts[workload][split].as_ref().unwrap();
+                assert!(
+                    matches!(runner.recorded(workload, split, front), Recorded::Run(_)),
+                    "{name}: the front did not record"
+                );
+                let program = front.schedule_for(&machine, false).unwrap();
+                assert!(
+                    region_origins(front.program(), &program).is_some(),
+                    "{name} on {}: not a region permutation of its front",
+                    cell.name()
+                );
+                items += 1;
+            }
+        }
+        assert_eq!(items, 384);
     }
 
     #[test]

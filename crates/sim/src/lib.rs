@@ -73,7 +73,7 @@ pub use error::SimError;
 pub use exec::{ControlEvent, ExecOptions, Executor, StepInfo};
 pub use limits::{measure_limit, DataflowLimit, LimitOptions};
 pub use metrics::MetricsSink;
-pub use replay::{Recording, MAX_RECORDING_BYTES};
+pub use replay::{Recording, ReplayCycles, MAX_RECORDING_BYTES};
 pub use report::{
     simulate, simulate_with_cache, simulate_with_sink, CacheReport, CriticalProducer, SimOptions,
     SimReport,

@@ -20,6 +20,8 @@
 //! instruction's facts from the stream of the recorded instruction it was
 //! moved from, and issues it through the exact timing model — with no
 //! executor, no memory image and no register values.
+//! [`Recording::replay_cycles`] takes the same walk through the timing
+//! model's cycle step alone, for callers that keep only the counts.
 
 use crate::block::BlockCacheStats;
 use crate::error::SimError;
@@ -63,6 +65,18 @@ struct Step {
     target: u32,
     /// Flat slot of the recorded instruction this one holds.
     origin: u32,
+}
+
+/// What [`Recording::replay_cycles`] reports: the counts of a
+/// [`SimReport`] that do not depend on stall attribution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReplayCycles {
+    /// Dynamic instruction count.
+    pub instructions: u64,
+    /// Elapsed machine cycles.
+    pub machine_cycles: u64,
+    /// Elapsed time in base-machine cycles.
+    pub base_cycles: f64,
 }
 
 /// One execution of a program, recorded so that any region permutation
@@ -257,6 +271,45 @@ impl Recording {
         origin: &[u32],
         config: &MachineConfig,
     ) -> Result<SimReport, SimError> {
+        let timing = self.walk::<true>(program, origin, config)?;
+        Ok(finish_report(
+            program,
+            config,
+            self.census,
+            &timing,
+            BlockCacheStats::default(),
+        ))
+    }
+
+    /// [`replay`](Self::replay) without stall attribution: the same walk
+    /// and the same issue cycles, but only the counts a sweep cell keeps.
+    /// They equal the report's, since attribution never moves an issue.
+    ///
+    /// # Errors
+    ///
+    /// As [`replay`](Self::replay).
+    pub fn replay_cycles(
+        &self,
+        program: &Program,
+        origin: &[u32],
+        config: &MachineConfig,
+    ) -> Result<ReplayCycles, SimError> {
+        let timing = self.walk::<false>(program, origin, config)?;
+        Ok(ReplayCycles {
+            instructions: self.instructions,
+            machine_cycles: timing.machine_cycles(),
+            base_cycles: timing.base_cycles(),
+        })
+    }
+
+    /// Walks `program` along the recorded path, issuing every instruction
+    /// through the cycle step and, when `ACCOUNT`, the attribution step.
+    fn walk<const ACCOUNT: bool>(
+        &self,
+        program: &Program,
+        origin: &[u32],
+        config: &MachineConfig,
+    ) -> Result<TimingModel, SimError> {
         const MISMATCH: SimError = SimError::NotARecordedPermutation;
         let shape_fits = program.functions().len() == self.shape.len()
             && program
@@ -305,7 +358,9 @@ impl Recording {
         let entry = program.entry().ok_or(MISMATCH)?;
 
         let mut timing = TimingModel::new(config, self.memory_words);
-        timing.track_producers(program);
+        if ACCOUNT {
+            timing.track_producers(program);
+        }
         let mut cursor = self.starts[..origin.len()].to_vec();
         let mut last = vec![0_u32; origin.len()];
         let mut stack: Vec<(usize, usize)> = Vec::with_capacity(self.max_depth);
@@ -385,19 +440,16 @@ impl Recording {
                     len = 0;
                 }
             }
-            timing.issue_static(step.facts, slot as u32, addr, vlen, transfers);
+            let cycle = timing.cycle_step(step.facts, addr, vlen, transfers);
+            if ACCOUNT {
+                timing.attribute(step.facts, slot as u32, &cycle);
+            }
         }
         // The recorded run ended with its last instruction: so must this.
         if len != 0 || branch != self.branches {
             return Err(MISMATCH);
         }
-        Ok(finish_report(
-            program,
-            config,
-            self.census,
-            &timing,
-            BlockCacheStats::default(),
-        ))
+        Ok(timing)
     }
 }
 

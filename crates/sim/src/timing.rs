@@ -411,6 +411,29 @@ impl TimingTable {
     }
 }
 
+/// What the cycle step decided, with the constraint cycles it read before
+/// committing: everything the attribution step charges from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cycle {
+    issue: u64,
+    complete: u64,
+    drain: u64,
+    /// The in-order frontier (`cur_cycle`) before this issue.
+    frontier: u64,
+    /// Whether this was the model's first instruction.
+    first: bool,
+    /// Whether a full issue group deferred it one cycle.
+    deferred: bool,
+    /// The pending control stall, each operand's readiness, the
+    /// destination's readiness and the memory words' readiness.
+    control: u64,
+    operands: [u64; 3],
+    waw: u64,
+    mem: u64,
+    fu: usize,
+    slot_free: u64,
+}
+
 /// What one issue decided, compactly: the [`IssueRecord`] fields with the
 /// cause as an index, plus the internal choices the block cache (see
 /// [`crate::block`]) records to replay the issue exactly. Computing the
@@ -601,7 +624,8 @@ impl TimingModel {
         )
     }
 
-    /// The one issue body every simulation path runs: `timing` holds the
+    /// The issue every report path runs: the [cycle step](Self::cycle_step)
+    /// and then the [attribution step](Self::attribute). `timing` holds the
     /// instruction's static facts, `writer` its producer-table slot, `addr`
     /// its first memory word (read only for memory instructions), `vlen`
     /// its vector length and `transfers` whether it transferred control.
@@ -614,17 +638,33 @@ impl TimingModel {
         vlen: u32,
         transfers: bool,
     ) -> Issued {
+        let cycle = self.cycle_step(timing, addr, vlen, transfers);
+        self.attribute(timing, writer, &cycle)
+    }
+
+    /// Decides the issue cycle and commits the machine state it changes:
+    /// unit reservations, register and memory readiness, the control stall,
+    /// the last completion and the instruction count. It reads no account
+    /// state, so a run of cycle steps alone issues every instruction in the
+    /// same cycle as a run that also attributes.
+    #[inline(always)]
+    pub(crate) fn cycle_step(
+        &mut self,
+        timing: StaticTiming,
+        addr: usize,
+        vlen: u32,
+        transfers: bool,
+    ) -> Cycle {
         let class = usize::from(timing.class);
 
-        // Each constraint's required cycle is computed separately so the
-        // binding one — the constraint whose requirement equals the final
-        // issue cycle — can be identified for stall attribution.
+        // Each constraint's required cycle is kept separately so the
+        // attribution step can name the binding one — the constraint whose
+        // requirement equals the final issue cycle.
 
         // RAW: all operands ready (unused operand slots read `READY`).
         let ready = &self.reg_ready;
-        let raw_ready = ready[usize::from(timing.uses[0])]
-            .max(ready[usize::from(timing.uses[1])])
-            .max(ready[usize::from(timing.uses[2])]);
+        let operands = timing.uses.map(|reg| ready[usize::from(reg)]);
+        let raw_ready = operands[0].max(operands[1]).max(operands[2]);
         // Conservative WAW: previous write to the destination completed.
         let waw_ready = ready[usize::from(timing.def)];
         // Store-to-load (and store-to-store) interlocks on the actual words.
@@ -656,84 +696,23 @@ impl TimingModel {
 
         // In-order issue: never before the previous instruction's cycle,
         // nor before an outstanding control transfer allows fetch to
-        // resume, nor before every constraint above is satisfied.
+        // resume, nor before every constraint above is satisfied. A full
+        // issue group defers the instruction exactly one cycle, into a
+        // cycle where it *does* issue.
         let cur = self.cur_cycle;
-        let mut t = cur
-            .max(self.control_stall_until)
+        let control = self.control_stall_until;
+        let bound = cur
+            .max(control)
             .max(raw_ready)
             .max(waw_ready)
             .max(mem_ready_at)
             .max(slot_free);
-
-        // The binding constraint: whichever required exactly the final
-        // cycle. Ties break toward the earlier pipeline stage (control
-        // first, functional unit last) so attribution is deterministic.
-        // A width deferral moves the instruction exactly one cycle, into a
-        // cycle where it *does* issue — so `IssueWidth` never produces an
-        // empty cycle.
-        let mut cause = NO_CAUSE;
-        if t > cur {
-            let ties = u32::from(self.control_stall_until == t)
-                | u32::from(raw_ready == t) << 1
-                | u32::from(waw_ready == t) << 2
-                | u32::from(mem_ready_at == t) << 3
-                | 1 << 4;
-            cause = BY_PRIORITY[ties.trailing_zeros() as usize];
-        } else if self.issued_in_cycle >= self.width {
-            t += 1;
-            cause = ISSUE_WIDTH;
-        }
-
-        // Cycle view: machine cycles that passed with no issue at all are
-        // charged to this instruction's binding constraint. Wait view:
-        // cycles *this instruction* waited past the frontier.
-        let empty = if self.instructions == 0 {
-            t
-        } else {
-            t.saturating_sub(cur + 1)
-        };
-        let wait = t - cur;
-        let mut reg = READY;
-        if cause != NO_CAUSE {
-            let index = usize::from(cause);
-            self.stall_cycles[index] += empty;
-            self.wait_cycles[index] += wait;
-            self.class_waits[class] += wait;
-            match cause {
-                FU_BUSY => self.fu_waits[fu] += wait,
-                RAW => {
-                    // The first operand whose readiness binds.
-                    let binds = |i: usize| ready[usize::from(timing.uses[i])] == t;
-                    reg = if binds(0) {
-                        timing.uses[0]
-                    } else if binds(1) {
-                        timing.uses[1]
-                    } else {
-                        timing.uses[2]
-                    };
-                    self.charge_producer(usize::from(reg), wait);
-                }
-                WAW => {
-                    reg = timing.def;
-                    self.charge_producer(usize::from(reg), wait);
-                }
-                _ => {}
-            }
-        } else {
-            debug_assert_eq!(empty, 0);
-            debug_assert_eq!(wait, 0);
-        }
+        let deferred = bound == cur && self.issued_in_cycle >= self.width;
+        let t = bound + u64::from(deferred);
 
         // Commit the issue.
-        let advance = t > cur;
-        let count_issue = advance || self.instructions == 0;
-        self.issue_cycles += u64::from(count_issue);
-        if advance {
-            self.cur_cycle = t;
-            self.issued_in_cycle = 1;
-        } else {
-            self.issued_in_cycle += 1;
-        }
+        self.issued_in_cycle = if t > cur { 1 } else { self.issued_in_cycle + 1 };
+        self.cur_cycle = t;
         let slot_free_at = t + self.class_busy[class].max(1 + vector_occupancy);
         self.reserve(first, end, slot_free_at);
 
@@ -745,13 +724,11 @@ impl TimingModel {
             // Vector results chain (consumers are vector instructions that
             // also proceed element-by-element); scalar results are ready at
             // completion.
-            let def = usize::from(timing.def);
-            self.reg_ready[def] = if timing.flags & VEC_DEF != 0 {
+            self.reg_ready[usize::from(timing.def)] = if timing.flags & VEC_DEF != 0 {
                 complete
             } else {
                 drain
             };
-            self.reg_writer[def] = writer;
         }
         if timing.flags & STORE != 0 {
             for a in addr..mem_end {
@@ -770,20 +747,113 @@ impl TimingModel {
             }
         }
 
+        let first_issue = self.instructions == 0;
         self.instructions += 1;
-        Issued {
+        Cycle {
             issue: t,
             complete,
             drain,
+            frontier: cur,
+            first: first_issue,
+            deferred,
+            control,
+            operands,
+            waw: waw_ready,
+            mem: mem_ready_at,
+            fu,
+            slot_free: slot_free_at,
+        }
+    }
+
+    /// Charges the wait `cycle` decided to its binding cause, in the cycle
+    /// and wait views, the class and unit rollups and the producer table,
+    /// then records `writer` as the destination's last writer. Writes only
+    /// account state.
+    #[inline(always)]
+    pub(crate) fn attribute(&mut self, timing: StaticTiming, writer: u32, cycle: &Cycle) -> Issued {
+        let (t, cur) = (cycle.issue, cycle.frontier);
+        let raw_ready = cycle.operands[0]
+            .max(cycle.operands[1])
+            .max(cycle.operands[2]);
+
+        // The binding constraint: whichever required exactly the final
+        // cycle. Ties break toward the earlier pipeline stage (control
+        // first, functional unit last) so attribution is deterministic.
+        // A width deferral lands in a cycle where the instruction issues,
+        // so `IssueWidth` never produces an empty cycle.
+        let mut cause = NO_CAUSE;
+        if cycle.deferred {
+            cause = ISSUE_WIDTH;
+        } else if t > cur {
+            let ties = u32::from(cycle.control == t)
+                | u32::from(raw_ready == t) << 1
+                | u32::from(cycle.waw == t) << 2
+                | u32::from(cycle.mem == t) << 3
+                | 1 << 4;
+            cause = BY_PRIORITY[ties.trailing_zeros() as usize];
+        }
+
+        // Cycle view: machine cycles that passed with no issue at all are
+        // charged to this instruction's binding constraint. Wait view:
+        // cycles *this instruction* waited past the frontier.
+        let empty = if cycle.first {
+            t
+        } else {
+            t.saturating_sub(cur + 1)
+        };
+        let wait = t - cur;
+        let mut reg = READY;
+        if cause != NO_CAUSE {
+            let index = usize::from(cause);
+            self.stall_cycles[index] += empty;
+            self.wait_cycles[index] += wait;
+            self.class_waits[usize::from(timing.class)] += wait;
+            match cause {
+                FU_BUSY => self.fu_waits[cycle.fu] += wait,
+                RAW => {
+                    // The first operand whose readiness (read before the
+                    // cycle step committed this instruction's own result)
+                    // binds.
+                    reg = if cycle.operands[0] == t {
+                        timing.uses[0]
+                    } else if cycle.operands[1] == t {
+                        timing.uses[1]
+                    } else {
+                        timing.uses[2]
+                    };
+                    self.charge_producer(usize::from(reg), wait);
+                }
+                WAW => {
+                    reg = timing.def;
+                    self.charge_producer(usize::from(reg), wait);
+                }
+                _ => {}
+            }
+        } else {
+            debug_assert_eq!(empty, 0);
+            debug_assert_eq!(wait, 0);
+        }
+
+        let advance = t > cur;
+        let count_issue = advance || cycle.first;
+        self.issue_cycles += u64::from(count_issue);
+        // After the charge, which read the previous writer.
+        if timing.def != READY {
+            self.reg_writer[usize::from(timing.def)] = writer;
+        }
+        Issued {
+            issue: t,
+            complete: cycle.complete,
+            drain: cycle.drain,
             wait,
             cause,
             reg,
-            fu,
-            slot_free: slot_free_at,
+            fu: cycle.fu,
+            slot_free: cycle.slot_free,
             empty,
             advance,
             count_issue,
-            mem_constraint: mem_ready_at,
+            mem_constraint: cycle.mem,
         }
     }
 

@@ -168,7 +168,7 @@ fn block_cache_replay_allocates_nothing_once_warmed() {
 fn recorded_replay_allocates_nothing_per_instruction() {
     // Replay reads its recording and grows nothing per instruction: the
     // same static program, recorded over 100× more dynamic instructions,
-    // replays with exactly as many allocations.
+    // replays with exactly as many allocations, accounted or cycles-only.
     let short = memory_loop(100);
     let long = memory_loop(10_000);
     let config = presets::ideal_superscalar(4);
@@ -203,6 +203,20 @@ fn recorded_replay_allocates_nothing_per_instruction() {
          {allocs_long} for {}",
         report_short.instructions(),
         report_long.instructions(),
+    );
+
+    // The cycles-only replay walks the same way without the accountant.
+    let (cycles_short, allocs_short) =
+        allocations_during(|| short_run.replay_cycles(&short, &origins, &config).unwrap());
+    let (cycles_long, allocs_long) =
+        allocations_during(|| long_run.replay_cycles(&long, &origins, &config).unwrap());
+    assert_eq!(cycles_long.machine_cycles, report_long.machine_cycles());
+    assert_eq!(
+        allocs_short, allocs_long,
+        "cycles-only replay allocated per dynamic instruction: \
+         {allocs_short} allocations for {} instructions vs \
+         {allocs_long} for {}",
+        cycles_short.instructions, cycles_long.instructions,
     );
 }
 

@@ -1158,6 +1158,26 @@ fn recorded_replay_is_bit_exact() {
                             reference.critical_producers(),
                             "{what}: producer tables diverge"
                         );
+                        // The cycles-only replay skips attribution, which
+                        // never moves an issue: its counts equal both.
+                        let cycles = recording
+                            .replay_cycles(scheduled, &origins, machine)
+                            .unwrap_or_else(|e| panic!("{what}: cycles-only replay failed: {e}"));
+                        for report in [&replayed, &reference] {
+                            assert_eq!(
+                                (
+                                    cycles.instructions,
+                                    cycles.machine_cycles,
+                                    cycles.base_cycles
+                                ),
+                                (
+                                    report.instructions(),
+                                    report.machine_cycles(),
+                                    report.base_cycles()
+                                ),
+                                "{what}: cycles-only replay diverges"
+                            );
+                        }
                         tally.replayed += 1;
                     }
                     Err(SimError::StepLimitExceeded { limit }) => {
