@@ -13,9 +13,10 @@
 //! would compute.
 
 use crate::engine::{Analysis, Direction};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use supersym_ir::{BlockId, CmpOp, Function, Inst, IntBinOp, Module, Terminator, VReg, VarRef};
 use supersym_lang::ast::Ty;
+use supersym_rng::HashMap;
 
 /// The constant-propagation state at a block boundary.
 ///
@@ -65,7 +66,7 @@ impl<'m> ConstProp<'m> {
         mut visit: impl FnMut(usize, &Inst, &HashMap<VReg, i64>),
     ) -> (BTreeMap<VarRef, i64>, Option<bool>) {
         let mut vars = vars_in.clone();
-        let mut vregs: HashMap<VReg, i64> = HashMap::new();
+        let mut vregs: HashMap<VReg, i64> = HashMap::default();
         let block_data = &func.blocks[block.index()];
         for (index, inst) in block_data.insts.iter().enumerate() {
             visit(index, inst, &vregs);

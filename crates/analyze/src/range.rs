@@ -16,9 +16,10 @@ use crate::consts::eval_int;
 use crate::engine::{Analysis, Direction};
 use crate::lattice::{Interval, JoinSemiLattice};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use supersym_ir::{BlockId, Function, Inst, IntBinOp, Module, VReg, VarRef};
 use supersym_lang::ast::Ty;
+use supersym_rng::HashMap;
 
 /// The range state at a block boundary: interval bounds for integer
 /// variables. `vars: None` means unreached; an absent variable is
@@ -66,7 +67,7 @@ impl<'m> Ranges<'m> {
         mut visit: impl FnMut(usize, &Inst, &HashMap<VReg, Interval>),
     ) -> BTreeMap<VarRef, Interval> {
         let mut vars = vars_in.clone();
-        let mut vregs: HashMap<VReg, Interval> = HashMap::new();
+        let mut vregs: HashMap<VReg, Interval> = HashMap::default();
         for (index, inst) in func.blocks[block.index()].insts.iter().enumerate() {
             visit(index, inst, &vregs);
             match inst {

@@ -45,9 +45,10 @@
 use crate::consts::ConstProp;
 use crate::engine::solve;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use supersym_ir::{BlockId, Function, IndexOrigin, Inst, IntBinOp, Module, VReg, VarRef};
+use supersym_rng::HashMap;
 
 /// Salt distinguishing recovered fingerprints from the front end's
 /// expression fingerprints (and from any future scheme).
@@ -194,7 +195,7 @@ fn recover_linear_origins(
     block: BlockId,
     edits: &mut BTreeMap<(usize, BlockId, usize), IndexOrigin>,
 ) {
-    let mut forms: HashMap<VReg, LinForm> = HashMap::new();
+    let mut forms: HashMap<VReg, LinForm> = HashMap::default();
     for (index, inst) in func.blocks[block.index()].insts.iter().enumerate() {
         // Annotate before applying the def (an access never defines its
         // own index, but the symmetry with the other walks is free).

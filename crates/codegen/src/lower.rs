@@ -7,7 +7,6 @@
 //! register moves for promoted variables, and [`MemAlias`] disambiguation
 //! tags consumed by the scheduler.
 
-use std::collections::HashMap;
 use supersym_ir as ir;
 use supersym_ir::{GlobalKind, Inst, Terminator, VReg, VarRef};
 use supersym_isa::{
@@ -15,6 +14,7 @@ use supersym_isa::{
 };
 use supersym_lang::ast::Ty;
 use supersym_regalloc::{Home, HomeAllocation, TempPool};
+use supersym_rng::HashMap;
 
 /// The smallest temporary pool lowering can work with, per register file:
 /// a binary operation needs two operand registers plus a result, and the
@@ -131,18 +131,18 @@ impl<'a> FnLower<'a> {
             labels: vec![0; func.blocks.len()],
             int_pool: TempPool::new(homes.int_temps().to_vec()),
             fp_pool: TempPool::new(homes.fp_temps().to_vec()),
-            locs: HashMap::new(),
-            use_positions: HashMap::new(),
+            locs: HashMap::default(),
+            use_positions: HashMap::default(),
             cur_pos: 0,
-            def_pos: HashMap::new(),
-            last_clear: HashMap::new(),
-            cur_tags: HashMap::new(),
-            base_vars: HashMap::new(),
+            def_pos: HashMap::default(),
+            last_clear: HashMap::default(),
+            cur_tags: HashMap::default(),
+            base_vars: HashMap::default(),
             next_tag: 0,
-            spill_slots: HashMap::new(),
+            spill_slots: HashMap::default(),
             spill_count: 0,
             frame_patch: Vec::new(),
-            slot_syms: HashMap::new(),
+            slot_syms: HashMap::default(),
             next_stack_sym,
         }
     }

@@ -5,8 +5,8 @@
 //! paper's model in which temporaries hold only "short-term expressions":
 //! the callee is free to use every temporary register.
 
-use std::collections::HashMap;
 use supersym_ir::{Inst, Module, VReg, VarRef};
+use supersym_rng::{HashMap, HashSet};
 
 /// Splits vreg live ranges around every call. Idempotent.
 pub fn split_live_across_calls(module: &mut Module) {
@@ -21,7 +21,7 @@ pub fn split_live_across_calls(module: &mut Module) {
                         continue;
                     }
                     // Defs before (or at) the call...
-                    let mut defined_before: HashMap<VReg, ()> = HashMap::new();
+                    let mut defined_before: HashMap<VReg, ()> = HashMap::default();
                     for earlier in &block.insts[..pos] {
                         if let Some(d) = earlier.dst() {
                             defined_before.insert(d, ());
@@ -29,7 +29,7 @@ pub fn split_live_across_calls(module: &mut Module) {
                     }
                     // ...used strictly after it.
                     let mut live: Vec<VReg> = Vec::new();
-                    let mut redefined: HashMap<VReg, ()> = HashMap::new();
+                    let mut redefined: HashMap<VReg, ()> = HashMap::default();
                     if let Some(d) = block.insts[pos].dst() {
                         redefined.insert(d, ());
                     }
@@ -101,13 +101,13 @@ pub fn no_vreg_live_across_calls(module: &Module) -> bool {
                 if !matches!(inst, Inst::Call { .. }) {
                     continue;
                 }
-                let mut defined_before = std::collections::HashSet::new();
+                let mut defined_before = HashSet::default();
                 for earlier in &block.insts[..pos] {
                     if let Some(d) = earlier.dst() {
                         defined_before.insert(d);
                     }
                 }
-                let mut redefined = std::collections::HashSet::new();
+                let mut redefined = HashSet::default();
                 if let Some(d) = block.insts[pos].dst() {
                     redefined.insert(d);
                 }

@@ -3,7 +3,7 @@
 use crate::error::PipelineError;
 use std::fmt;
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use supersym_analyze::OracleKind;
 use supersym_ir::Module;
 use supersym_isa::{Diagnostic, Program};
@@ -11,7 +11,7 @@ use supersym_machine::{MachineConfig, RegisterSplit};
 use supersym_opt::{Pass, PassObserver, UnrollOptions};
 use supersym_rules::RuleTable;
 use supersym_trace::{MetricsRegistry, OwnedPhase, PhaseRecord, TraceSink};
-use supersym_verify::PassCertificate;
+use supersym_verify::{CertMethod, PassCertificate};
 
 /// The paper's Figure 4-8 optimization ladder. Each level includes all the
 /// previous ones.
@@ -271,13 +271,35 @@ pub fn compile_ast(
 /// the sink-free path keeps it; only record emission is conditional.
 struct PhaseClock {
     last: Instant,
+    /// Time taken out of earlier phases for a later record to report.
+    aside: Duration,
 }
 
 impl PhaseClock {
     fn start() -> Self {
         PhaseClock {
             last: Instant::now(),
+            aside: Duration::ZERO,
         }
+    }
+
+    /// Takes `spent` out of the running phase: work done inside it that a
+    /// later record reports as a phase of its own.
+    fn set_aside(&mut self, spent: Duration) {
+        self.last += spent;
+        self.aside += spent;
+    }
+
+    /// Emits a record covering the time since the previous emit plus all
+    /// the time set aside so far, so the records still sum to the total.
+    fn emit_with_aside(
+        &mut self,
+        sink: &mut Option<&mut dyn TraceSink>,
+        name: &str,
+        counters: &[(&str, u64)],
+    ) {
+        self.last -= std::mem::take(&mut self.aside);
+        self.emit(sink, name, counters);
     }
 
     /// Emits a phase record covering the time since the previous emit and
@@ -358,10 +380,35 @@ struct Certifier<'t> {
     table: &'t RuleTable,
     prev: Module,
     certificates: Vec<PassCertificate>,
+    /// Wall time spent certifying since [`set_aside_certifier`] last took
+    /// it out of the running phase.
+    spent: Duration,
+}
+
+impl<'t> Certifier<'t> {
+    fn new(table: &'t RuleTable, ir: &Module) -> Self {
+        let start = Instant::now();
+        let prev = ir.clone();
+        Certifier {
+            table,
+            prev,
+            certificates: Vec::new(),
+            spent: start.elapsed(),
+        }
+    }
+
+    /// How many certificates `method` proved.
+    fn count(&self, method: CertMethod) -> u64 {
+        self.certificates
+            .iter()
+            .filter(|c| c.method == Some(method))
+            .count() as u64
+    }
 }
 
 impl PassObserver for Certifier<'_> {
     fn after_pass(&mut self, pass: Pass, module: &Module) {
+        let start = Instant::now();
         self.certificates.push(supersym_verify::certify_pass(
             &self.prev,
             module,
@@ -369,11 +416,20 @@ impl PassObserver for Certifier<'_> {
             self.table,
         ));
         self.prev = module.clone();
+        self.spent += start.elapsed();
     }
 }
 
 fn as_observer<'a>(certifier: &'a mut Option<Certifier<'_>>) -> Option<&'a mut dyn PassObserver> {
     certifier.as_mut().map(|c| c as &mut dyn PassObserver)
+}
+
+/// Moves the certifier's time out of the optimizer phase it ran in; the
+/// `certify` record reports it instead.
+fn set_aside_certifier(clock: &mut PhaseClock, certifier: &mut Option<Certifier<'_>>) {
+    if let Some(certifier) = certifier {
+        clock.set_aside(std::mem::take(&mut certifier.spent));
+    }
 }
 
 /// The machine-independent half of a compilation: the program as it stands
@@ -532,13 +588,10 @@ fn front_ast_traced(
     } else {
         &empty_table
     };
-    let mut certifier = options.certify.then(|| Certifier {
-        table,
-        prev: ir.clone(),
-        certificates: Vec::new(),
-    });
+    let mut certifier = options.certify.then(|| Certifier::new(table, &ir));
     if options.opt.local() {
         supersym_opt::run_local_observed(&mut ir, table, as_observer(&mut certifier));
+        set_aside_certifier(&mut clock, &mut certifier);
         clock.emit(
             sink,
             "opt_local",
@@ -550,6 +603,7 @@ fn front_ast_traced(
     }
     if options.opt.global() {
         supersym_opt::run_global_observed(&mut ir, table, as_observer(&mut certifier));
+        set_aside_certifier(&mut clock, &mut certifier);
         clock.emit(
             sink,
             "opt_global",
@@ -564,6 +618,7 @@ fn front_ast_traced(
         if options.opt.local() {
             supersym_opt::run_local_observed(&mut ir, table, as_observer(&mut certifier));
         }
+        set_aside_certifier(&mut clock, &mut certifier);
         clock.emit(sink, "reassociate", &[]);
     }
     if let Some(certifier) = certifier {
@@ -574,10 +629,14 @@ fn front_ast_traced(
             .filter(|d| d.is_error())
             .cloned()
             .collect();
-        clock.emit(
+        clock.emit_with_aside(
             sink,
             "certify",
-            &[("passes", certifier.certificates.len() as u64)],
+            &[
+                ("passes", certifier.certificates.len() as u64),
+                ("structural", certifier.count(CertMethod::Structural)),
+                ("differential", certifier.count(CertMethod::Differential)),
+            ],
         );
         if let Some(out) = certificates {
             out.extend(certifier.certificates);
@@ -937,6 +996,46 @@ mod tests {
         assert!(counter("regions") > 0);
         assert!(counter("dep_edges_conservative") >= counter("dep_edges_symbolic"));
         assert!(counter("moved_instructions") > 0);
+    }
+
+    #[test]
+    fn certify_record_owns_the_certifiers_time() {
+        let machine = presets::multititan();
+        let options = CompileOptions::new(OptLevel::O4, &machine)
+            .with_unroll(UnrollOptions {
+                factor: 2,
+                careful: true,
+            })
+            .with_certify(true);
+        let mut sink = supersym_trace::MemorySink::default();
+        let start = Instant::now();
+        compile_with_trace(PROGRAM, &options, &mut sink).unwrap();
+        let total = start.elapsed().as_nanos();
+        let certify = sink.phases.iter().find(|p| p.name == "certify").unwrap();
+        let counter = |key: &str| {
+            certify
+                .counters
+                .iter()
+                .find(|(k, _)| k.as_str() == key)
+                .map(|(_, v)| *v)
+                .unwrap()
+        };
+        let (_, certificates) = compile_certified(PROGRAM, &options).unwrap();
+        let count = |method| {
+            certificates
+                .iter()
+                .filter(|c| c.method == Some(method))
+                .count() as u64
+        };
+        assert_eq!(counter("passes"), certificates.len() as u64);
+        assert_eq!(counter("structural"), count(CertMethod::Structural));
+        assert_eq!(counter("differential"), count(CertMethod::Differential));
+        assert!(counter("passes") > 0);
+        assert!(certify.wall_ns > 0);
+        // The certifier's time moved out of the optimizer phases rather
+        // than being counted twice, so the phases still fit the compile.
+        let phases: u128 = sink.phases.iter().map(|p| p.wall_ns).sum();
+        assert!(phases <= total, "phases {phases} ns > compile {total} ns");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::func::{BlockId, Function, Module};
 use crate::inst::{Inst, VarRef};
-use std::collections::HashSet;
+use supersym_rng::HashSet;
 
 /// Per-block live-in/live-out variable sets.
 #[derive(Debug, Clone)]
@@ -37,8 +37,8 @@ impl VarLiveness {
 pub fn var_liveness(module: &Module, func: &Function) -> VarLiveness {
     let n = func.blocks.len();
     // use[b]: read before any write in b. def[b]: written in b before read.
-    let mut use_sets = vec![HashSet::new(); n];
-    let mut def_sets: Vec<HashSet<VarRef>> = vec![HashSet::new(); n];
+    let mut use_sets = vec![HashSet::default(); n];
+    let mut def_sets: Vec<HashSet<VarRef>> = vec![HashSet::default(); n];
     for (index, block) in func.blocks.iter().enumerate() {
         for inst in &block.insts {
             match inst {
@@ -63,8 +63,8 @@ pub fn var_liveness(module: &Module, func: &Function) -> VarLiveness {
             }
         }
     }
-    let mut live_in = vec![HashSet::new(); n];
-    let mut live_out: Vec<HashSet<VarRef>> = vec![HashSet::new(); n];
+    let mut live_in = vec![HashSet::default(); n];
+    let mut live_out: Vec<HashSet<VarRef>> = vec![HashSet::default(); n];
     // Returns expose globals.
     let globals_set: HashSet<VarRef> = (0..module.globals.len())
         .map(|g| VarRef::Global(crate::func::GlobalId(g as u32)))
@@ -74,7 +74,7 @@ pub fn var_liveness(module: &Module, func: &Function) -> VarLiveness {
         changed = false;
         for index in (0..n).rev() {
             let block = &func.blocks[index];
-            let mut out: HashSet<VarRef> = HashSet::new();
+            let mut out: HashSet<VarRef> = HashSet::default();
             if block.term.successors().is_empty() {
                 out.extend(globals_set.iter().copied());
             }

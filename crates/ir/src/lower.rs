@@ -7,10 +7,10 @@
 
 use crate::func::{Block, BlockId, Function, GlobalId, GlobalInfo, GlobalKind, Module, VarInfo};
 use crate::inst::{CmpOp, FloatBinOp, Inst, IntBinOp, Terminator, VReg, VarRef};
-use std::collections::HashMap;
 use supersym_lang::ast;
 use supersym_lang::ast::{BinOp, Expr, Stmt, Ty, UnOp};
 use supersym_lang::LangError;
+use supersym_rng::HashMap;
 
 /// Lowers a checked AST module into IR.
 ///
@@ -32,7 +32,7 @@ pub fn lower(source: &ast::Module) -> Result<Module, LangError> {
         });
     }
     let mut globals = Vec::new();
-    let mut global_ids = HashMap::new();
+    let mut global_ids = HashMap::default();
     for g in &source.globals {
         global_ids.insert(g.name.clone(), GlobalId(globals.len() as u32));
         globals.push(GlobalInfo {
@@ -125,7 +125,7 @@ fn lower_function(ctx: &LowerCtx<'_>, decl: &ast::FnDecl) -> Result<Function, La
         blocks: vec![Block::empty(Terminator::Return(None))],
         vreg_tys: Vec::new(),
     };
-    let mut scopes = vec![HashMap::new()];
+    let mut scopes = vec![HashMap::default()];
     for (index, (name, ty)) in decl.params.iter().enumerate() {
         let id = crate::func::LocalId(func.vars.len() as u32);
         func.vars.push(VarInfo {
@@ -193,7 +193,7 @@ impl FnLowerer<'_> {
     }
 
     fn block(&mut self, block: &ast::Block) -> Result<(), LangError> {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(HashMap::default());
         for stmt in &block.stmts {
             self.stmt(stmt)?;
         }
@@ -326,7 +326,7 @@ impl FnLowerer<'_> {
                     ty: Ty::Int,
                     param_index: None,
                 });
-                self.scopes.push(HashMap::new());
+                self.scopes.push(HashMap::default());
                 self.scopes
                     .last_mut()
                     .expect("just pushed")

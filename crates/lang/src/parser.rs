@@ -69,17 +69,24 @@ impl Parser {
         self.tokens[self.pos].line
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos].kind.clone();
+    /// Steps past the current token; the final `Eof` is never passed.
+    fn advance(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
+    }
+
+    /// Steps past the current token and returns a copy of it, for the
+    /// callers that read the token they consume.
+    fn bump(&mut self) -> TokenKind {
+        let kind = self.tokens[self.pos].kind.clone();
+        self.advance();
         kind
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
         if matches!(self.peek(), TokenKind::Punct(s) if *s == p) {
-            self.bump();
+            self.advance();
             true
         } else {
             false
@@ -96,7 +103,7 @@ impl Parser {
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
         if matches!(self.peek(), TokenKind::Ident(s) if s == kw) {
-            self.bump();
+            self.advance();
             true
         } else {
             false
@@ -107,7 +114,7 @@ impl Parser {
         match self.peek() {
             TokenKind::Ident(s) if !is_keyword(s) => {
                 let s = s.clone();
-                self.bump();
+                self.advance();
                 Ok(s)
             }
             _ => Err(self.unexpected("an identifier")),
@@ -293,7 +300,7 @@ impl Parser {
             if !is_keyword(name) {
                 let name = name.clone();
                 let save = self.pos;
-                self.bump();
+                self.advance();
                 if self.eat_punct("=") {
                     let value = self.expr()?;
                     self.expect_punct(";")?;
@@ -569,22 +576,22 @@ impl Parser {
     fn primary_expr(&mut self) -> Result<Expr, LangError> {
         match self.peek().clone() {
             TokenKind::Int(v) => {
-                self.bump();
+                self.advance();
                 Ok(Expr::IntLit(v))
             }
             TokenKind::Float(v) => {
-                self.bump();
+                self.advance();
                 Ok(Expr::FloatLit(v))
             }
             TokenKind::Punct("(") => {
-                self.bump();
+                self.advance();
                 let inner = self.expr()?;
                 self.expect_punct(")")?;
                 Ok(inner)
             }
             TokenKind::Ident(name) => {
                 if name == "itof" || name == "ftoi" {
-                    self.bump();
+                    self.advance();
                     self.expect_punct("(")?;
                     let inner = self.expr()?;
                     self.expect_punct(")")?;
@@ -597,7 +604,7 @@ impl Parser {
                 if is_keyword(&name) {
                     return Err(self.unexpected("an expression"));
                 }
-                self.bump();
+                self.advance();
                 if self.eat_punct("(") {
                     let mut args = Vec::new();
                     if !self.eat_punct(")") {

@@ -2,7 +2,7 @@
 
 use crate::ast::*;
 use crate::error::LangError;
-use std::collections::HashMap;
+use supersym_rng::HashMap;
 
 /// Checks a module: all names defined, no duplicate definitions, all
 /// expressions well-typed, `return` statements consistent with signatures.
@@ -47,8 +47,8 @@ struct Checker<'m> {
 
 impl<'m> Checker<'m> {
     fn new(module: &'m Module) -> Result<Self, LangError> {
-        let mut scalars = HashMap::new();
-        let mut arrays = HashMap::new();
+        let mut scalars = HashMap::default();
+        let mut arrays = HashMap::default();
         for global in &module.globals {
             let duplicate = match global.kind {
                 GlobalKind::Scalar { .. } => {
@@ -67,7 +67,7 @@ impl<'m> Checker<'m> {
                 });
             }
         }
-        let mut funcs = HashMap::new();
+        let mut funcs = HashMap::default();
         for func in &module.funcs {
             let sig = FnSig {
                 params: func.params.iter().map(|(_, t)| *t).collect(),
@@ -108,7 +108,7 @@ impl<'m> Checker<'m> {
 
     fn check_function(&mut self, func: &FnDecl) -> Result<(), LangError> {
         self.scopes.clear();
-        self.scopes.push(HashMap::new());
+        self.scopes.push(HashMap::default());
         for (name, ty) in &func.params {
             if self.scopes[0].insert(name.clone(), *ty).is_some() {
                 return Err(LangError::Redefined { name: name.clone() });
@@ -119,7 +119,7 @@ impl<'m> Checker<'m> {
     }
 
     fn check_block(&mut self, block: &Block) -> Result<(), LangError> {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(HashMap::default());
         for stmt in &block.stmts {
             self.check_stmt(stmt)?;
         }
@@ -229,7 +229,7 @@ impl<'m> Checker<'m> {
                         context: format!("for initializer of `{var}` must be int"),
                     });
                 }
-                self.scopes.push(HashMap::new());
+                self.scopes.push(HashMap::default());
                 self.declare(var, Ty::Int)?;
                 self.expect_int(cond, "for condition")?;
                 self.check_block(body)?;

@@ -1,7 +1,7 @@
 //! Dead-code and dead-store elimination.
 
-use std::collections::HashSet;
 use supersym_ir::{var_liveness, BlockId, Inst, Module, Terminator, VarRef};
+use supersym_rng::HashSet;
 
 /// Removes pure instructions whose results are unused (per block — vregs are
 /// block-local) and unreachable blocks. Returns `true` if anything changed.
@@ -11,7 +11,7 @@ pub fn dead_code_elimination(module: &mut Module) -> bool {
         for block in &mut func.blocks {
             // Backward sweep: a pure inst is dead if its dst is never used
             // later in the block (including the terminator).
-            let mut used: HashSet<supersym_ir::VReg> = HashSet::new();
+            let mut used: HashSet<supersym_ir::VReg> = HashSet::default();
             if let Some(v) = block.term.used_vreg() {
                 used.insert(v);
             }
@@ -102,7 +102,7 @@ pub fn dead_store_elimination(module: &mut Module) -> bool {
         for (block_index, block) in func.blocks.iter_mut().enumerate() {
             // Backward: a store to a local is dead if the local is not read
             // later in the block and not live-out.
-            let mut read_later: HashSet<VarRef> = HashSet::new();
+            let mut read_later: HashSet<VarRef> = HashSet::default();
             let mut keep = vec![true; block.insts.len()];
             for (index, inst) in block.insts.iter().enumerate().rev() {
                 match inst {

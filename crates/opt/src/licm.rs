@@ -12,8 +12,8 @@
 //! the re-read instructions introduced), so single constants feeding loop
 //! arithmetic are left alone.
 
-use std::collections::HashSet;
 use supersym_ir::{natural_loops, Block, BlockId, Inst, Module, Terminator, VReg, VarRef};
+use supersym_rng::HashSet;
 
 /// Runs LICM to a bounded fixed point. Returns `true` if anything moved.
 pub fn loop_invariant_code_motion(module: &mut Module) -> bool {
@@ -44,7 +44,7 @@ fn licm_function(module: &mut Module, func_index: usize) -> bool {
 fn hoist_loop(module: &mut Module, func_index: usize, header: &BlockId, body: &[BlockId]) -> bool {
     let body_set: HashSet<BlockId> = body.iter().copied().collect();
     // Loop facts.
-    let mut vars_written: HashSet<VarRef> = HashSet::new();
+    let mut vars_written: HashSet<VarRef> = HashSet::default();
     let mut has_call = false;
     {
         let func = &module.funcs[func_index];
@@ -76,7 +76,7 @@ fn hoist_loop(module: &mut Module, func_index: usize, header: &BlockId, body: &[
         let func = &module.funcs[func_index];
         for &block_id in body {
             let block = &func.blocks[block_id.index()];
-            let mut invariant: HashSet<VReg> = HashSet::new();
+            let mut invariant: HashSet<VReg> = HashSet::default();
             let mut moved: Vec<usize> = Vec::new();
             let mut nontrivial = false;
             for (index, inst) in block.insts.iter().enumerate() {
@@ -111,7 +111,7 @@ fn hoist_loop(module: &mut Module, func_index: usize, header: &BlockId, body: &[
             // Externally-used moved results need a temporary + re-read.
             let moved_set: HashSet<usize> = moved.iter().copied().collect();
             let mut external: Vec<VReg> = Vec::new();
-            let mut seen: HashSet<VReg> = HashSet::new();
+            let mut seen: HashSet<VReg> = HashSet::default();
             for (index, inst) in block.insts.iter().enumerate() {
                 if moved_set.contains(&index) {
                     continue;

@@ -10,8 +10,8 @@
 //! outside the synthesis grammar, so its identity keeps a hand-written
 //! (and separately tested) special case here.
 
-use std::collections::HashMap;
 use supersym_ir::{CmpOp, FloatBinOp, GlobalId, Inst, IntBinOp, Module, Terminator, VReg, VarRef};
+use supersym_rng::HashMap;
 use supersym_rules::{default_table, Rewrite, RuleTable, SimplifyCtx};
 
 /// A compile-time constant (floats compared by bits).
@@ -481,7 +481,7 @@ pub fn strength_reduce(module: &mut Module) -> bool {
     for func in &mut module.funcs {
         for block_index in 0..func.blocks.len() {
             // Constant values of vregs defined in this block.
-            let mut consts: HashMap<VReg, i64> = HashMap::new();
+            let mut consts: HashMap<VReg, i64> = HashMap::default();
             let mut rewrites: Vec<(usize, VReg, VReg)> = Vec::new(); // (pos, lhs, mul-dst)
             for (pos, inst) in func.blocks[block_index].insts.iter().enumerate() {
                 // Redefinitions (e.g. the re-reads split_live_across_calls

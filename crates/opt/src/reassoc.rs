@@ -17,8 +17,8 @@
 //! Float chains stay a policy decision (add/mul only), since float
 //! associativity is genuinely false and is opted into, not proven.
 
-use std::collections::HashMap;
 use supersym_ir::{FloatBinOp, Inst, IntBinOp, Module, VReg};
+use supersym_rng::HashMap;
 use supersym_rules::{default_table, RuleTable};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,7 @@ fn reassociate_block(
 ) -> bool {
     let block = &func.blocks[block_index];
     // Use counts of vregs within the block (including the terminator).
-    let mut uses: HashMap<VReg, usize> = HashMap::new();
+    let mut uses: HashMap<VReg, usize> = HashMap::default();
     for inst in &block.insts {
         inst.for_each_use(|v| *uses.entry(v).or_insert(0) += 1);
     }
@@ -89,7 +89,7 @@ fn reassociate_block(
         *uses.entry(v).or_insert(0) += 1;
     }
     // Positions of defining instructions.
-    let mut def_pos: HashMap<VReg, usize> = HashMap::new();
+    let mut def_pos: HashMap<VReg, usize> = HashMap::default();
     for (index, inst) in block.insts.iter().enumerate() {
         if let Some(dst) = inst.dst() {
             def_pos.insert(dst, index);
@@ -245,7 +245,7 @@ mod tests {
     /// Depth of the dependence chain feeding the final write.
     fn add_chain_depth(module: &supersym_ir::Module) -> usize {
         let block = &module.funcs[0].blocks[0];
-        let mut depth: HashMap<VReg, usize> = HashMap::new();
+        let mut depth: HashMap<VReg, usize> = HashMap::default();
         let mut max_depth = 0;
         for inst in &block.insts {
             if let Some((_, dst, lhs, rhs)) = chain_op(inst, default_table()) {

@@ -16,8 +16,8 @@
 //! Only innermost `for` loops in the canonical counted shape are unrolled;
 //! a remainder loop handles trip counts not divisible by the factor.
 
-use std::collections::HashMap;
 use supersym_lang::ast::{BinOp, Block, Expr, FnDecl, GlobalKind, Module, Stmt, Ty};
+use supersym_rng::HashMap;
 
 /// The largest unroll factor `titalc --unroll` accepts. The paper's
 /// largest factor, and the experiment registry's, is 10; compile time grows
@@ -87,7 +87,7 @@ fn unroll_block(
 ) -> usize {
     let mut count = 0;
     let mut new_stmts: Vec<Stmt> = Vec::with_capacity(block.stmts.len());
-    scopes.push(HashMap::new());
+    scopes.push(HashMap::default());
     for stmt in block.stmts.drain(..) {
         match stmt {
             Stmt::Let { name, ty, init } => {
@@ -126,7 +126,7 @@ fn unroll_block(
             } => {
                 // Recurse first: only innermost loops are expanded, but
                 // inner loops of this one may themselves be innermost.
-                scopes.push(HashMap::from([(var.clone(), Ty::Int)]));
+                scopes.push([(var.clone(), Ty::Int)].into_iter().collect());
                 count += unroll_block(&mut body, options, scopes, counter);
                 scopes.pop();
                 let for_stmt = Stmt::For {

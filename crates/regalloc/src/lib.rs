@@ -34,11 +34,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::{HashMap, HashSet};
 use supersym_ir::{natural_loops, GlobalId, GlobalKind, Inst, LocalId, Module, VarRef};
 use supersym_isa::{FpReg, IntReg, NUM_FP_REGS, NUM_INT_REGS};
 use supersym_lang::ast::Ty;
 use supersym_machine::RegisterSplit;
+use supersym_rng::{HashMap, HashSet};
 
 /// Number of integer/FP registers reserved for argument passing (`r1..r8`
 /// and `f1..f8`; `r1`/`f1` also carry return values).
@@ -294,7 +294,7 @@ pub fn allocate(module: &Module, split: RegisterSplit, promote: bool) -> HomeAll
 
     // Candidate scoring.
     let recursive = recursive_functions(module);
-    let mut scores: HashMap<u64, f64> = HashMap::new();
+    let mut scores: HashMap<u64, f64> = HashMap::default();
     for (func_index, func) in module.funcs.iter().enumerate() {
         let depth = block_loop_depths(func);
         for (block_index, block) in func.blocks.iter().enumerate() {
@@ -352,8 +352,8 @@ pub fn allocate(module: &Module, split: RegisterSplit, promote: bool) -> HomeAll
     // Assign registers to the best candidates.
     let mut int_iter = int_home_regs.into_iter();
     let mut fp_iter = fp_home_regs.into_iter();
-    let mut global_reg: HashMap<u32, Home> = HashMap::new();
-    let mut local_reg: HashMap<(usize, u32), Home> = HashMap::new();
+    let mut global_reg: HashMap<u32, Home> = HashMap::default();
+    let mut local_reg: HashMap<(usize, u32), Home> = HashMap::default();
     for candidate in candidates {
         let home = match candidate.ty {
             Ty::Int => int_iter.next().map(Home::IntReg),
@@ -433,7 +433,7 @@ fn block_loop_depths(func: &supersym_ir::Function) -> Vec<u32> {
 #[must_use]
 pub fn recursive_functions(module: &Module) -> HashSet<usize> {
     let n = module.funcs.len();
-    let mut edges: Vec<HashSet<usize>> = vec![HashSet::new(); n];
+    let mut edges: Vec<HashSet<usize>> = vec![HashSet::default(); n];
     for (index, func) in module.funcs.iter().enumerate() {
         for block in &func.blocks {
             for inst in &block.insts {
@@ -444,9 +444,9 @@ pub fn recursive_functions(module: &Module) -> HashSet<usize> {
         }
     }
     // Reachability-based cycle membership: f is recursive if f can reach f.
-    let mut result = HashSet::new();
+    let mut result = HashSet::default();
     for start in 0..n {
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         let mut work: Vec<usize> = edges[start].iter().copied().collect();
         while let Some(next) = work.pop() {
             if next == start {

@@ -17,8 +17,15 @@
 //!
 //! The stream is pinned by a reference-value test below; changing the
 //! algorithm is a breaking change to every recorded seed in the repo.
+//!
+//! The crate also holds the workspace's two fixed hash functions:
+//! [`fnv1a_64`], the stable content hash behind every persisted
+//! fingerprint, and [`FxHasher`], the fast in-memory hasher behind the
+//! compiler's [`HashMap`] and [`HashSet`] aliases.
 
 #![deny(missing_docs)]
+
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// SplitMix64: deterministic, seedable, dependency-free.
 #[derive(Debug, Clone)]
@@ -105,6 +112,84 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// FxHash's multiplier: an odd constant whose product spreads a word's
+/// bits into the high half, where the hash table reads its bucket tags.
+const FX_MULTIPLIER: u64 = 0x517C_C1B7_2722_0A95;
+
+/// FxHash (the hasher of the Rust and Firefox compilers): one rotate, xor
+/// and multiply per machine word of input, with no seed and no state
+/// beyond one `u64`.
+///
+/// It keys in-memory maps only. It is not collision-resistant, so it never
+/// hashes untrusted keys where a flood of collisions would matter, and it
+/// is not pinned like [`fnv1a_64`], so it never reaches a file: anything
+/// persisted stays FNV-1a.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_MULTIPLIER);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0_u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(tail));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, value: u8) {
+        self.add(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, value: u16) {
+        self.add(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.add(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.add(value);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, value: usize) {
+        self.add(value as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A [`std::collections::HashMap`] hashed by [`FxHasher`]: build one with
+/// `HashMap::default()` (`new` exists only for std's seeded hasher).
+pub type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A [`std::collections::HashSet`] hashed by [`FxHasher`]: build one with
+/// `HashSet::default()`.
+pub type HashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,5 +253,42 @@ mod tests {
     #[test]
     fn fnv1a_is_order_sensitive() {
         assert_ne!(fnv1a_64(b"ab"), fnv1a_64(b"ba"));
+    }
+
+    fn fx(bytes: &[u8]) -> u64 {
+        let mut hasher = FxHasher::default();
+        hasher.write(bytes);
+        hasher.finish()
+    }
+
+    #[test]
+    fn fx_reference_values() {
+        // One word is one step from zero: the word times the multiplier.
+        let mut hasher = FxHasher::default();
+        hasher.write_u64(1);
+        assert_eq!(hasher.finish(), FX_MULTIPLIER);
+        // A short slice is one zero-padded little-endian word.
+        assert_eq!(fx(b"a"), 0x61_u64.wrapping_mul(FX_MULTIPLIER));
+        let word = u64::from_le_bytes(*b"abcdefgh");
+        let first = word.wrapping_mul(FX_MULTIPLIER);
+        let second = (first.rotate_left(5) ^ 0x69).wrapping_mul(FX_MULTIPLIER);
+        assert_eq!(fx(b"abcdefghi"), second);
+    }
+
+    #[test]
+    fn fx_has_no_seed() {
+        // Two hasher factories hash alike, in one process and across processes.
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<FxHasher>::default();
+        assert_eq!(build.hash_one("liveness"), build.hash_one("liveness"));
+        assert_ne!(build.hash_one("ab"), build.hash_one("ba"));
+    }
+
+    #[test]
+    fn aliases_behave_as_maps() {
+        let mut map: HashMap<&str, u32> = HashMap::default();
+        *map.entry("x").or_default() += 2;
+        let set: HashSet<u32> = (0..100).chain(0..100).collect();
+        assert_eq!((map["x"], set.len()), (2, 100));
     }
 }

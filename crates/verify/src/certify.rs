@@ -13,10 +13,13 @@
 //!    events (array stores, calls — each capturing the global state the
 //!    callee could see), its final variable state, and its normalized
 //!    terminator. Equal summaries block-by-block mean the pass only
-//!    rewrote expressions along proven equalities. This certifies LVN,
-//!    strength reduction, DCE, and reassociation — including float
-//!    reassociation, where chain comparison is by multiset so no claim
-//!    about rounding is made.
+//!    rewrote expressions along proven equalities. The result may also
+//!    drop every block unreachable from the entry and renumber the rest in
+//!    order (jump targets compared through the renumbering): a block no
+//!    path reaches never executes. This certifies LVN, strength
+//!    reduction, DCE with its unreachable-block removal, and
+//!    reassociation — including float reassociation, where chain
+//!    comparison is by multiset so no claim about rounding is made.
 //! 2. **Executor-differential** — when block structure changed (LICM
 //!    inserts preheaders, DSE deletes cross-block stores) the modules are
 //!    run under the fuel-bounded interpreter of [`crate::exec`] and every
@@ -28,7 +31,7 @@
 //! Fuel exhaustion yields a *warning* (inconclusive), never a false
 //! rejection.
 
-use std::collections::HashMap;
+use supersym_rng::HashMap;
 
 use supersym_analyze::consts::eval_int;
 use supersym_ir::{
@@ -167,19 +170,40 @@ fn structural_check(before: &Module, after: &Module, table: &RuleTable) -> Resul
         if bf.vars != af.vars {
             return Err(format!("function `{}`: variable tables differ", bf.name));
         }
-        if bf.blocks.len() != af.blocks.len() {
+        // `after` either keeps every block, or keeps exactly the blocks
+        // reachable from the entry, in order, renumbered densely. A block
+        // no path reaches never executes, so dropping it preserves
+        // behavior; anything else (a reachable block dropped, blocks
+        // reordered, a jump retargeted) fails a summary comparison below.
+        let kept: Vec<usize> = if af.blocks.len() == bf.blocks.len() {
+            (0..bf.blocks.len()).collect()
+        } else {
+            reachable_blocks(bf)
+        };
+        if kept.len() != af.blocks.len() {
             return Err(format!(
-                "function `{}`: block count {} vs {}",
+                "function `{}`: block count {} vs {} ({} reachable)",
                 bf.name,
                 bf.blocks.len(),
-                af.blocks.len()
+                af.blocks.len(),
+                kept.len()
             ));
         }
-        for index in 0..bf.blocks.len() {
-            let sb = summarize_block(bf, index, table)
-                .map_err(|e| format!("function `{}` block {index}: {e}", bf.name))?;
-            let sa = summarize_block(af, index, table)
-                .map_err(|e| format!("function `{}` block {index}: {e}", bf.name))?;
+        let mut renumber = vec![usize::MAX; bf.blocks.len()];
+        for (new, &old) in kept.iter().enumerate() {
+            renumber[old] = new;
+        }
+        let identity: Vec<usize> = (0..af.blocks.len()).collect();
+        for (new, &old) in kept.iter().enumerate() {
+            let label = if old == new {
+                format!("function `{}` block {old}", bf.name)
+            } else {
+                format!("function `{}` block {old} (block {new} after)", bf.name)
+            };
+            let sb =
+                summarize_block(bf, old, &renumber, table).map_err(|e| format!("{label}: {e}"))?;
+            let sa =
+                summarize_block(af, new, &identity, table).map_err(|e| format!("{label}: {e}"))?;
             if sb != sa {
                 let detail = sb
                     .iter()
@@ -187,14 +211,33 @@ fn structural_check(before: &Module, after: &Module, table: &RuleTable) -> Resul
                     .find(|(x, y)| x != y)
                     .map(|(x, y)| format!("`{x}` vs `{y}`"))
                     .unwrap_or_else(|| format!("{} vs {} summary lines", sb.len(), sa.len()));
-                return Err(format!(
-                    "function `{}` block {index}: summaries differ: {detail}",
-                    bf.name
-                ));
+                return Err(format!("{label}: summaries differ: {detail}"));
             }
         }
     }
     Ok(())
+}
+
+/// The blocks reachable from the entry over terminator successors, in
+/// index order: the blocks an unreachable-block removal keeps.
+/// A target past the last block leads nowhere here; the summary of the
+/// block that names it reports it.
+fn reachable_blocks(func: &Function) -> Vec<usize> {
+    let mut reachable = vec![false; func.blocks.len()];
+    let mut work = Vec::new();
+    if !func.blocks.is_empty() {
+        reachable[0] = true;
+        work.push(0);
+    }
+    while let Some(index) = work.pop() {
+        for succ in func.blocks[index].term.successors() {
+            if reachable.get(succ.index()) == Some(&false) {
+                reachable[succ.index()] = true;
+                work.push(succ.index());
+            }
+        }
+    }
+    (0..func.blocks.len()).filter(|&i| reachable[i]).collect()
 }
 
 /// Whether an associative/commutative chain is over integer or float ops.
@@ -236,7 +279,7 @@ impl<'t> Arena<'t> {
             fconsts: Vec::new(),
             binviews: Vec::new(),
             chains: Vec::new(),
-            intern: HashMap::new(),
+            intern: HashMap::default(),
         }
     }
 
@@ -450,21 +493,23 @@ impl<'t> Arena<'t> {
 }
 
 /// Summarizes one basic block as a list of canonical lines: observable
-/// events in order, final variable state, normalized terminator.
+/// events in order, final variable state, normalized terminator. Jump and
+/// branch targets print through `targets` (old block index to new).
 fn summarize_block(
     func: &Function,
     index: usize,
+    targets: &[usize],
     table: &RuleTable,
 ) -> Result<Vec<String>, String> {
     let block = &func.blocks[index];
     let mut arena = Arena::new(table);
     let mut vreg: Vec<Option<usize>> = vec![None; func.vreg_tys.len()];
-    let mut vars: HashMap<VarRef, usize> = HashMap::new();
+    let mut vars: HashMap<VarRef, usize> = HashMap::default();
     // Per-array known element values (the optimizer's store-to-load map).
-    let mut elems: HashMap<GlobalId, Vec<(usize, usize)>> = HashMap::new();
+    let mut elems: HashMap<GlobalId, Vec<(usize, usize)>> = HashMap::default();
     // Per-array clobber counters: bumped by stores to the array; calls
     // clobber everything, so the call counter joins every leaf name.
-    let mut writes: HashMap<GlobalId, u64> = HashMap::new();
+    let mut writes: HashMap<GlobalId, u64> = HashMap::default();
     let mut calls: u64 = 0;
     let mut events: Vec<String> = Vec::new();
 
@@ -609,8 +654,14 @@ fn summarize_block(
         .collect();
     var_lines.sort();
     lines.extend(var_lines);
+    let target = |bb: &supersym_ir::BlockId| {
+        targets
+            .get(bb.index())
+            .copied()
+            .ok_or_else(|| format!("jump to missing block {}", bb.index()))
+    };
     lines.push(match &block.term {
-        Terminator::Jump(bb) => format!("jump b{}", bb.index()),
+        Terminator::Jump(bb) => format!("jump b{}", target(bb)?),
         Terminator::Branch {
             cond,
             then_bb,
@@ -621,17 +672,13 @@ fn summarize_block(
                 // Mirror the optimizer's branch folding.
                 Some(value) => format!(
                     "jump b{}",
-                    if value != 0 {
-                        then_bb.index()
-                    } else {
-                        else_bb.index()
-                    }
+                    target(if value != 0 { then_bb } else { else_bb })?
                 ),
                 None => format!(
                     "branch {} b{} b{}",
                     arena.prints[sym],
-                    then_bb.index(),
-                    else_bb.index()
+                    target(then_bb)?,
+                    target(else_bb)?
                 ),
             }
         }
@@ -698,9 +745,9 @@ mod tests {
     }
 
     #[test]
-    fn dce_unreachable_block_removal_certifies_differentially() {
+    fn dce_unreachable_block_removal_certifies_structurally() {
         // Lowering leaves a trailing unreachable block; DCE's first run
-        // deletes it, so block-wise comparison does not apply.
+        // deletes it, and the kept blocks compare one for one.
         let src = "fn main(int x) -> int { var dead = x * 7; return x + 1; }";
         let before = module(src);
         let mut after = before.clone();
@@ -708,7 +755,130 @@ mod tests {
         let lvn = after.clone();
         assert!(supersym_opt::dead_code_elimination(&mut after));
         let cert = certify_pass(&lvn, &after, "dead_code_elimination", default_table());
-        assert_eq!(cert.method, Some(CertMethod::Differential), "{cert:?}");
+        assert_eq!(cert.method, Some(CertMethod::Structural), "{cert:?}");
+    }
+
+    #[test]
+    fn removing_a_middle_block_certifies_through_the_renumbering() {
+        // Branch folding leaves the `then` arm unreachable before the live
+        // join and `else` blocks, so both move down one index.
+        let src = "fn main(int x) -> int {
+                       var y = 0;
+                       if (0) { y = x + 2; } else { y = x * 3; }
+                       return y;
+                   }";
+        let mut before = module(src);
+        supersym_opt::local_value_numbering(&mut before);
+        let mut after = before.clone();
+        assert!(supersym_opt::dead_code_elimination(&mut after));
+        let dropped = before.funcs[0].blocks.len() - after.funcs[0].blocks.len();
+        assert_eq!(dropped, 2, "the `then` arm and the trailing block");
+        assert_ne!(
+            reachable_blocks(&before.funcs[0]),
+            (0..after.funcs[0].blocks.len()).collect::<Vec<_>>(),
+            "a block past the dropped one must move"
+        );
+        let cert = certify_pass(&before, &after, "dead_code_elimination", default_table());
+        assert_eq!(cert.method, Some(CertMethod::Structural), "{cert:?}");
+    }
+
+    /// Rewrites every jump and branch target of `func` through `map`.
+    fn retarget(func: &mut Function, map: impl Fn(usize) -> usize) {
+        let to = |bb: &mut supersym_ir::BlockId| *bb = supersym_ir::BlockId(map(bb.index()) as u32);
+        for block in &mut func.blocks {
+            match &mut block.term {
+                Terminator::Jump(bb) => to(bb),
+                Terminator::Branch {
+                    then_bb, else_bb, ..
+                } => {
+                    to(then_bb);
+                    to(else_bb);
+                }
+                Terminator::Return(_) => {}
+            }
+        }
+    }
+
+    /// Removes block `index`, sending its predecessors to `redirect` (an
+    /// index before the removal) and moving later blocks down one.
+    fn drop_block(func: &mut Function, index: usize, redirect: usize) {
+        func.blocks.remove(index);
+        let shift = |b: usize| if b > index { b - 1 } else { b };
+        retarget(func, |b| shift(if b == index { redirect } else { b }));
+    }
+
+    #[test]
+    fn wrong_block_removals_do_not_certify_structurally() {
+        // bb0 branches on g > 0 to bb1 (then) or bb3 (else), both jump to
+        // the return in bb2, and bb4 is unreachable. g = -3 takes the
+        // `else` arm: the program writes out = 4 and returns 5.
+        let before = module(
+            "global var g = -3;
+             global var out;
+             fn main() -> int {
+                 if (g > 0) { out = g * 2; } else { out = g + 7; }
+                 return out + 1;
+             }",
+        );
+        let mut compacted = before.clone();
+        assert!(supersym_opt::dead_code_elimination(&mut compacted));
+        assert_eq!(compacted.funcs[0].blocks.len(), 4);
+        let cert = certify_pass(
+            &before,
+            &compacted,
+            "dead_code_elimination",
+            default_table(),
+        );
+        assert_eq!(cert.method, Some(CertMethod::Structural), "{cert:?}");
+
+        type Mutation = fn(&mut Function);
+        let cases: [(&str, Mutation, bool); 4] = [
+            // The taken `else` arm goes, and the branch falls to bb2.
+            ("drop a reachable block", |f| drop_block(f, 3, 2), true),
+            // Same block count, but bb3 now runs into bb1 before bb2.
+            (
+                "jump to the wrong renumbered block",
+                |f| f.blocks[3].term = Terminator::Jump(supersym_ir::BlockId(1)),
+                true,
+            ),
+            // bb1 and bb3 trade places and every jump follows them: the
+            // program is unchanged, only the block order is not.
+            (
+                "swap two kept blocks",
+                |f| {
+                    f.blocks.swap(1, 3);
+                    retarget(f, |b| match b {
+                        1 => 3,
+                        3 => 1,
+                        b => b,
+                    });
+                },
+                false,
+            ),
+            // The `then` arm becomes the entry.
+            ("drop block 0", |f| drop_block(f, 0, 1), true),
+        ];
+        for (name, mutate, changes_behavior) in cases {
+            let mut after = compacted.clone();
+            mutate(&mut after.funcs[0]);
+            after.validate().unwrap();
+            let cert = certify_pass(&before, &after, "dead_code_elimination", default_table());
+            assert_ne!(
+                cert.method,
+                Some(CertMethod::Structural),
+                "{name}: {cert:?}"
+            );
+            if changes_behavior {
+                assert!(!cert.is_certified(), "{name}: {cert:?}");
+                assert_eq!(cert.diagnostics[0].code(), "certify-diverged", "{name}");
+            } else {
+                assert_eq!(
+                    cert.method,
+                    Some(CertMethod::Differential),
+                    "{name}: {cert:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use supersym::machine::presets;
 use supersym::opt::UnrollOptions;
 use supersym::rng::SplitMix64;
 use supersym::sim::{ExecOptions, Executor, SimOptions};
+use supersym::verify::CertMethod;
 use supersym::{compile_ast, CompileOptions, OptLevel};
 
 // ---------------------------------------------------------------------------
@@ -1593,6 +1594,18 @@ fn certifier_accepts_every_pass_on_the_whole_suite() {
                     cert.diagnostics
                 );
                 certified_passes.insert(cert.pass.clone());
+                // DCE only deletes dead instructions and unreachable
+                // blocks, both of which the structural tier proves.
+                if cert.pass == "dead_code_elimination" {
+                    assert_eq!(
+                        cert.method,
+                        Some(CertMethod::Structural),
+                        "{} on {}: DCE certified {:?}",
+                        workload.name,
+                        machine.name(),
+                        cert.method
+                    );
+                }
             }
             let plain = supersym::compile(&workload.source, &options).expect("plain compile");
             assert_eq!(
@@ -1617,6 +1630,31 @@ fn certifier_accepts_every_pass_on_the_whole_suite() {
             "pass {pass} never fired across the suite sweep (saw {certified_passes:?})"
         );
     }
+}
+
+/// The benchmark's certified compiles (each Small program at O4 on
+/// MultiTitan, verify on) earn a fixed mix of certificates: 20 structural
+/// and 10 differential. Every DCE pass is among the structural ones; the
+/// differential ten are the seven DSE and three LICM passes, which move or
+/// delete code across blocks.
+#[test]
+fn certified_ladder_compiles_split_twenty_structural_ten_differential() {
+    use supersym::workloads::{suite, Size};
+    let machine = presets::multititan();
+    let options = CompileOptions::new(OptLevel::O4, &machine).with_verify(true);
+    let (mut structural, mut differential) = (0, 0);
+    for workload in &suite(Size::Small) {
+        let (_, certificates) = supersym::compile_certified(&workload.source, &options)
+            .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
+        for cert in &certificates {
+            match cert.method {
+                Some(CertMethod::Structural) => structural += 1,
+                Some(CertMethod::Differential) => differential += 1,
+                None => panic!("{}: pass {} uncertified", workload.name, cert.pass),
+            }
+        }
+    }
+    assert_eq!((structural, differential), (20, 10));
 }
 
 // ---------------------------------------------------------------------------
