@@ -43,18 +43,25 @@ pub(crate) fn run(args: &Args) -> Result<(), ExitCode> {
         out!("{program}");
         return Ok(());
     }
-    let report = simulated(simulate(&program, &options.machine, SimOptions::default()))?;
-    print_headline(&options, &program, &report)?;
-    print_cycle_account(report.cycle_account())?;
-    print_class_table(report.census(), report.cycle_account())?;
-    if args.switch(flag::CACHE) {
-        let (_, caches) = simulated(simulate_with_cache(
+    // With `--cache` one run feeds the I/D caches and reports what
+    // `simulate` would have.
+    let (report, caches) = if args.switch(flag::CACHE) {
+        let (report, caches) = simulated(simulate_with_cache(
             &program,
             &options.machine,
             SimOptions::default(),
             CacheConfig::small_direct(),
             CacheConfig::small_direct(),
         ))?;
+        (report, Some(caches))
+    } else {
+        let report = simulated(simulate(&program, &options.machine, SimOptions::default()))?;
+        (report, None)
+    };
+    print_headline(&options, &program, &report)?;
+    print_cycle_account(report.cycle_account())?;
+    print_class_table(report.census(), report.cycle_account())?;
+    if let Some(caches) = caches {
         outln!(
             "caches (8KiB):  I-miss {:.2}%  D-miss {:.2}%  ({:.4} misses/instr)",
             caches.icache.miss_rate() * 100.0,
@@ -524,7 +531,6 @@ pub(crate) fn stats(args: &Args) -> Result<(), ExitCode> {
     registry.counter("sim.stall_cycles", account.total_stall_cycles());
     registry.counter("sim.drain_cycles", account.drain_cycles());
     registry.gauge("sim.ilp", round4(report.available_parallelism()));
-    report.block_cache_stats().register(&mut registry);
     sink.metrics.register(&mut registry);
     let phase_array = sink
         .memory

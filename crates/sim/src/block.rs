@@ -45,10 +45,8 @@
 
 use crate::error::SimError;
 use crate::exec::{ControlEvent, Executor, StepInfo};
-use crate::report::Events;
 use crate::timing::{
-    stall_cause, IssueRecord, Issued, StaticTiming, TimingModel, FU_BUSY, NO_CAUSE,
-    NUM_STALL_KINDS, RAW, READY, VEC_DEF, WAW,
+    Issued, StaticTiming, TimingModel, FU_BUSY, NO_CAUSE, NUM_STALL_KINDS, RAW, READY, VEC_DEF, WAW,
 };
 use supersym_isa::{Program, NUM_CLASSES};
 use supersym_trace::MetricsRegistry;
@@ -213,20 +211,6 @@ struct ReplayStep {
     def_ready_rel: u64,
     /// Writer slot for the producer table.
     def_writer: u32,
-}
-
-impl ReplayStep {
-    /// The issue record the exact model produced for this step, at entry
-    /// cycle `base`.
-    fn record(&self, base: u64) -> IssueRecord {
-        IssueRecord {
-            issue: base + self.issue_rel,
-            complete: base + self.complete_rel,
-            drain: base + self.drain_rel,
-            wait: self.wait,
-            cause: stall_cause(self.cause, self.cause_reg, usize::from(self.fu)),
-        }
-    }
 }
 
 /// The aggregated effect of a whole trace on the timing model — what a
@@ -772,14 +756,10 @@ impl BlockCache {
     /// recorded per-step values are what the exact model would have
     /// written — and the diverging step is handed back for exact issue.
     ///
-    /// Each verified step's issue event comes from its recorded values, so
-    /// a listening `events` sees what the exact model would have issued.
-    ///
     /// # Errors
     ///
     /// Propagates executor faults.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_trace<E: Events>(
+    pub(crate) fn replay_trace(
         &mut self,
         block: u32,
         variant: u32,
@@ -787,7 +767,6 @@ impl BlockCache {
         first: &StepInfo,
         exec: &mut Executor<'_>,
         timing: &mut TimingModel,
-        events: &mut E,
     ) -> Result<TraceRun, SimError> {
         let v = &self.traces[block as usize].variants[variant as usize];
         let steps: &[ReplayStep] = &v.steps;
@@ -844,7 +823,6 @@ impl BlockCache {
                                 timing.control_stall_until.max(base + last.issue_rel + 1);
                         }
                     }
-                    events.issue(&info, || last.record(base));
                     break (TraceRun::Completed, steps.len() as u64);
                 }
                 // Materialize the verified prefix. Memory-scoreboard
@@ -855,7 +833,6 @@ impl BlockCache {
                 }
                 break (TraceRun::Diverged(info), pos as u64);
             }
-            events.issue(&info, || steps[pos].record(base));
             pos += 1;
             if pos == steps.len() {
                 apply_summary(summary, base, timing, summary.end_csu_rel);
@@ -876,13 +853,8 @@ impl BlockCache {
             self.reentry_loc = u64::MAX;
         }
         self.stats.replayed_instructions += replayed;
-        match outcome {
-            TraceRun::Completed => events.block_replay(v.hot[0].loc, base, replayed as u32, true),
-            TraceRun::Diverged(_) => {
-                self.stats.fallbacks += 1;
-                events.block_replay(v.hot[0].loc, base, replayed as u32, false);
-            }
-            TraceRun::Ended => {}
+        if let TraceRun::Diverged(_) = outcome {
+            self.stats.fallbacks += 1;
         }
         Ok(outcome)
     }

@@ -251,8 +251,9 @@ impl Recording {
     }
 
     /// Times `program` on `config` from the recording, reporting exactly
-    /// what [`simulate`](crate::simulate) reports for it (block-cache
-    /// counters aside, which stay zero).
+    /// what the exact loop reports for it ([`simulate`](crate::simulate)
+    /// with the block cache off, or any observed run): its block-cache
+    /// counters are zero.
     ///
     /// `program` must be a region permutation of the recorded program, and
     /// `origin[slot]` the flat slot (functions in order, instructions in

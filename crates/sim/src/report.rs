@@ -7,17 +7,19 @@ use crate::exec::{ExecOptions, Executor, StepInfo};
 use crate::timing::{CycleAccount, IssueRecord, TimingModel, TimingTable};
 use supersym_isa::{ClassCensus, Program};
 use supersym_machine::MachineConfig;
-use supersym_trace::{BlockReplayEvent, IssueEvent, TraceSink};
+use supersym_trace::{IssueEvent, TraceSink};
 
 /// Options for [`simulate`].
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
     /// Functional-execution options.
     pub exec: ExecOptions,
-    /// Whether the block timing cache is enabled (default `true`). The
-    /// cache is bit-exact — disabling it changes nothing but speed; the
+    /// Whether [`simulate`] uses the block timing cache (default `true`).
+    /// The cache is bit-exact — disabling it changes nothing but speed; the
     /// switch exists for differential testing and for measuring the cache
-    /// itself.
+    /// itself. Only [`simulate`] reads it: runs that observe instructions
+    /// ([`simulate_with_sink`], [`simulate_with_cache`]) always take the
+    /// exact loop.
     pub block_cache: bool,
 }
 
@@ -107,8 +109,9 @@ impl SimReport {
         &self.producers
     }
 
-    /// Block-timing-cache counters for the run (all zero when the cache
-    /// was disabled or the run took a cache-free path).
+    /// Block-timing-cache counters for the run: nonzero only for a
+    /// [`simulate`] run with the cache on, and zero for every run that
+    /// observes instructions.
     #[must_use]
     pub fn block_cache_stats(&self) -> BlockCacheStats {
         self.block_cache
@@ -137,6 +140,8 @@ impl SimReport {
 ///
 /// Functional execution and timing run in lockstep: each architecturally
 /// executed instruction is issued into the pipeline model of `config`.
+/// With `options.block_cache` on, the block timing cache replays recorded
+/// traces instead of issuing them one by one; the report is the same.
 ///
 /// # Errors
 ///
@@ -146,19 +151,16 @@ pub fn simulate(
     config: &MachineConfig,
     options: SimOptions,
 ) -> Result<SimReport, SimError> {
-    run_lockstep(program, config, options, ())
+    run_lockstep(program, config, options.exec, options.block_cache, &mut ())
 }
 
 /// Runs a program on a machine description, streaming one
-/// [`IssueEvent`] per dynamic instruction to `sink`, plus one
-/// [`BlockReplayEvent`] per block-cache replay.
+/// [`IssueEvent`] per dynamic instruction to `sink`.
 ///
-/// The run takes the same loop as [`simulate`], where the event calls
-/// compile away, and reports the same, block-cache counters included. A
-/// replayed instruction's event comes from the trace's recording, which
-/// holds the exact model's own values; every other instruction's comes
-/// from the live issue. Neither path allocates per instruction (asserted
-/// by the `no_alloc` integration test).
+/// The run takes the exact loop, whatever `options.block_cache` says, and
+/// reports what [`simulate`] does; its block-cache counters are zero. It
+/// allocates nothing per instruction (asserted by the `no_alloc`
+/// integration test).
 ///
 /// # Errors
 ///
@@ -167,30 +169,23 @@ pub fn simulate_with_sink(
     program: &Program,
     config: &MachineConfig,
     options: SimOptions,
-    sink: &mut dyn TraceSink,
+    mut sink: &mut dyn TraceSink,
 ) -> Result<SimReport, SimError> {
-    run_lockstep(program, config, options, sink)
+    run_lockstep(program, config, options.exec, false, &mut sink)
 }
 
-/// Where a simulation loop sends its telemetry: `()` for [`simulate`],
-/// where every call compiles away, or the sink of [`simulate_with_sink`].
-pub(crate) trait Events {
+/// What watches the exact loop's issues: `()` for [`simulate`] with the
+/// block cache off, where every call compiles away, the sink of
+/// [`simulate_with_sink`], or the I/D caches of [`simulate_with_cache`].
+trait Events {
     /// One dynamic instruction issued; `record` is evaluated only when
     /// something listens.
     fn issue(&mut self, info: &StepInfo, record: impl FnOnce() -> IssueRecord);
-
-    /// A replay of the trace entered at packed location `entry` and cycle
-    /// `base` ended: its summary applied (`hit`), or its verified prefix of
-    /// `instructions` materialized.
-    fn block_replay(&mut self, entry: u64, base: u64, instructions: u32, hit: bool);
 }
 
 impl Events for () {
     #[inline(always)]
     fn issue(&mut self, _: &StepInfo, _: impl FnOnce() -> IssueRecord) {}
-
-    #[inline(always)]
-    fn block_replay(&mut self, _: u64, _: u64, _: u32, _: bool) {}
 }
 
 impl Events for &mut dyn TraceSink {
@@ -210,37 +205,28 @@ impl Events for &mut dyn TraceSink {
             },
         );
     }
-
-    fn block_replay(&mut self, entry: u64, base: u64, instructions: u32, hit: bool) {
-        TraceSink::block_replay(
-            &mut **self,
-            &BlockReplayEvent {
-                func: (entry >> 32) as u32,
-                pc: entry & 0xFFFF_FFFF,
-                cycle: base,
-                instructions,
-                hit,
-            },
-        );
-    }
 }
 
+/// The lockstep run behind every entry point: the block cache's
+/// [`run_bulk`] when `cached` (sink-less [`simulate`] alone, which passes
+/// `()` as `events`), otherwise the exact loop, which shows every issue to
+/// `events`.
 fn run_lockstep(
     program: &Program,
     config: &MachineConfig,
-    options: SimOptions,
-    mut events: impl Events,
+    options: ExecOptions,
+    cached: bool,
+    events: &mut impl Events,
 ) -> Result<SimReport, SimError> {
-    let mut exec = Executor::new(program, options.exec)?;
+    let mut exec = Executor::new(program, options)?;
     let table = TimingTable::new(program);
-    let mut timing = TimingModel::new(config, options.exec.memory_words);
+    let mut timing = TimingModel::new(config, options.memory_words);
     timing.track_producers(program);
-    let stats = if options.block_cache {
+    let stats = if cached {
         let mut cache = BlockCache::new(program, &timing);
-        run_bulk(&mut cache, &table, &mut exec, &mut timing, &mut events)?;
+        run_bulk(&mut cache, &table, &mut exec, &mut timing)?;
         cache.stats
     } else {
-        // Cache off: the exact reference loop, no trace bookkeeping at all.
         while let Some(info) = exec.step()? {
             let issued = timing.issue_step(&table, &info);
             events.issue(&info, || issued.record());
@@ -256,10 +242,9 @@ fn run_lockstep(
     ))
 }
 
-/// The cached loop behind both [`simulate`] and [`simulate_with_sink`].
-/// Replays defer all timing-state writes to one aggregated delta per
-/// trace, so a verified step costs a few compares plus the live memory
-/// effects.
+/// The cached loop behind [`simulate`] with the block cache on. Replays
+/// defer all timing-state writes to one aggregated delta per trace, so a
+/// verified step costs a few compares plus the live memory effects.
 ///
 /// Structured as nested loops rather than a per-step mode dispatch: each
 /// trace visit runs one tight inner loop (replay or record) with its state
@@ -268,12 +253,11 @@ fn run_lockstep(
 /// The executor only returns `None` after a `Halt` step, and `Halt` always
 /// ends a trace — so the inner loops' "stream ended" breaks are
 /// unreachable-in-practice guards, not trace-state leaks.
-fn run_bulk<E: Events>(
+fn run_bulk(
     cache: &mut BlockCache,
     table: &TimingTable,
     exec: &mut Executor<'_>,
     timing: &mut TimingModel,
-    events: &mut E,
 ) -> Result<(), SimError> {
     use crate::block::{packed_loc, trace_break, TraceRun, MAX_TRACE_LEN};
     'trace: loop {
@@ -290,7 +274,6 @@ fn run_bulk<E: Events>(
                     cache.observe_step(facts, timing);
                     let issued = timing.issue_step(table, &info);
                     cache.record_step(&info, facts, slot as u32, &issued);
-                    events.issue(&info, || issued.record());
                     if trace_break(info.control, info.pc, exec.cursor(), entry)
                         || cache.recorded_len() >= MAX_TRACE_LEN
                     {
@@ -307,7 +290,7 @@ fn run_bulk<E: Events>(
                 block,
                 variant,
                 base,
-            } => match cache.replay_trace(block, variant, base, &first, exec, timing, events)? {
+            } => match cache.replay_trace(block, variant, base, &first, exec, timing)? {
                 TraceRun::Completed => {}
                 TraceRun::Ended => return Ok(()),
                 TraceRun::Diverged(diverged) => {
@@ -317,8 +300,7 @@ fn run_bulk<E: Events>(
                     // instruction starts a fresh trace, so divergent paths
                     // (loop exits, data-dependent branches) earn their own
                     // cached traces instead of replaying nothing.
-                    let issued = timing.issue_step(table, &diverged);
-                    events.issue(&diverged, || issued.record());
+                    timing.issue_step(table, &diverged);
                     continue 'trace;
                 }
             },
@@ -394,9 +376,11 @@ impl CacheReport {
 
 /// Runs a program while also driving a split I/D cache system.
 ///
-/// Instruction addresses place each function at a base address equal to the
-/// cumulative instruction count of the functions before it (one word per
-/// instruction); data addresses are the words actually touched.
+/// The run takes the exact loop, like [`simulate_with_sink`], and reports
+/// what [`simulate`] does. Instruction addresses place each function at a
+/// base address equal to the cumulative instruction count of the functions
+/// before it (one word per instruction); data addresses are the words
+/// actually touched, every word of a vector access included.
 ///
 /// # Errors
 ///
@@ -408,42 +392,43 @@ pub fn simulate_with_cache(
     icache: CacheConfig,
     dcache: CacheConfig,
 ) -> Result<(SimReport, CacheReport), SimError> {
-    // Function base addresses for I-fetch simulation.
     let mut bases = Vec::with_capacity(program.functions().len());
     let mut next = 0_u64;
     for function in program.functions() {
         bases.push(next);
         next += function.instrs().len() as u64;
     }
-
-    let mut exec = Executor::new(program, options.exec)?;
-    let table = TimingTable::new(program);
-    let mut timing = TimingModel::new(config, options.exec.memory_words);
-    timing.track_producers(program);
-    let mut caches = CacheSystem::new(icache, dcache);
-    while let Some(info) = exec.step()? {
-        timing.issue_step(&table, &info);
-        caches.fetch(bases[info.func.index()] + info.pc as u64);
-        if let Some((addr, _)) = info.mem {
-            caches.data(addr as u64);
-        }
-    }
-    // The I/D-cache path drives the exact timing model directly (the block
-    // cache memoizes only the issue model, not the cache system's access
-    // stream — see DESIGN.md §12).
-    let report = finish_report(
-        program,
-        config,
-        *exec.census(),
-        &timing,
-        BlockCacheStats::default(),
-    );
+    let mut observer = CacheObserver {
+        bases,
+        caches: CacheSystem::new(icache, dcache),
+    };
+    let report = run_lockstep(program, config, options.exec, false, &mut observer)?;
+    let caches = &observer.caches;
     let cache_report = CacheReport {
         icache: caches.icache_stats(),
         dcache: caches.dcache_stats(),
         misses_per_instruction: caches.misses_per_instruction(report.instructions),
     };
     Ok((report, cache_report))
+}
+
+/// The I/D caches of [`simulate_with_cache`], fed from the exact loop.
+struct CacheObserver {
+    /// Instruction address of each function's first instruction.
+    bases: Vec<u64>,
+    caches: CacheSystem,
+}
+
+impl Events for CacheObserver {
+    fn issue(&mut self, info: &StepInfo, _: impl FnOnce() -> IssueRecord) {
+        self.caches
+            .fetch(self.bases[info.func.index()] + info.pc as u64);
+        if let Some((addr, _)) = info.mem {
+            for word in addr..addr + info.vlen.max(1) as usize {
+                self.caches.data(word as u64);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -511,5 +496,25 @@ mod tests {
         assert!(caches.icache.miss_rate() < 0.05);
         let cpi = caches.effective_cpi(1.0, 10.0);
         assert!((1.0..2.0).contains(&cpi));
+    }
+
+    #[test]
+    fn dcache_sees_every_word_of_a_vector_access() {
+        let mut asm = AsmBuilder::new("main");
+        asm.movi(r(1), 64);
+        asm.setvl(r(1));
+        asm.vload(supersym_isa::VecReg::new(1).unwrap(), r(2), 0);
+        asm.halt();
+        let (_, caches) = simulate_with_cache(
+            &asm.finish_program(),
+            &presets::base(),
+            SimOptions::default(),
+            CacheConfig::small_direct(),
+            CacheConfig::small_direct(),
+        )
+        .unwrap();
+        // Words 0..64 of a cold cache with four-word lines.
+        assert_eq!(caches.dcache.accesses, 64);
+        assert_eq!(caches.dcache.misses, 16);
     }
 }

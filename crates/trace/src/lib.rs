@@ -50,8 +50,7 @@ pub use json::{escape_into, JsonObject, JsonValue};
 pub use metrics::{Histogram, Metric, MetricsRegistry, METRICS_SCHEMA};
 pub use parse::{parse_json, validate_timeline, JsonParseError, TimelineError, TimelineReport};
 pub use sink::{
-    BlockReplayEvent, IssueEvent, LoopCountSink, MemorySink, NullSink, OwnedPhase, PhaseRecord,
-    TraceSink,
+    IssueEvent, LoopCountSink, MemorySink, NullSink, OwnedPhase, PhaseRecord, TraceSink,
 };
 pub use timeline::{
     SweepItem, TimelineSink, PID_COMPILE, PID_SIMULATE, PID_SWEEP, TIMELINE_SCHEMA,

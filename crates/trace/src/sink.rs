@@ -45,31 +45,6 @@ pub struct IssueEvent {
     pub cause: Option<&'static str>,
 }
 
-/// The simulator's block timing cache replayed a trace.
-///
-/// Emitted once per replay (not per instruction), when it ends; the
-/// replayed instructions still each get an [`IssueEvent`]. `hit: true`
-/// when the trace's recorded summary was applied, which includes a trace
-/// whose final branch went the other way (a loop exit). `hit: false` when
-/// verification failed mid-trace: the verified prefix was applied, the
-/// diverging instruction ran on the exact model, and the next one starts a
-/// new trace. Trace visits that run exact from the start to record a new
-/// entry state emit nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockReplayEvent {
-    /// Function index of the trace's entry instruction.
-    pub func: u32,
-    /// Entry-instruction index within the function.
-    pub pc: u64,
-    /// Machine cycle at trace entry.
-    pub cycle: u64,
-    /// Instructions the replay served: the whole trace on a hit, the
-    /// verified prefix on a fallback.
-    pub instructions: u32,
-    /// Whether the replay ran to the end of the trace.
-    pub hit: bool,
-}
-
 /// A telemetry consumer. All methods default to no-ops so sinks implement
 /// only what they care about.
 pub trait TraceSink {
@@ -80,12 +55,6 @@ pub trait TraceSink {
 
     /// A dynamic instruction issued.
     fn issue(&mut self, event: &IssueEvent) {
-        let _ = event;
-    }
-
-    /// The simulator's block timing cache replayed (or abandoned a replay
-    /// of) a block.
-    fn block_replay(&mut self, event: &BlockReplayEvent) {
         let _ = event;
     }
 }

@@ -26,7 +26,7 @@
 //! [`crate::parse`] enforces.
 
 use crate::json::{escape_into, format_u64};
-use crate::sink::{BlockReplayEvent, IssueEvent, PhaseRecord, TraceSink};
+use crate::sink::{IssueEvent, PhaseRecord, TraceSink};
 use std::io::{self, Write};
 
 /// Schema identifier of the timeline document.
@@ -199,12 +199,6 @@ impl<W: Write> TimelineSink<W> {
             self.lanes.len() as u64 + 1,
             "thread_name",
             "other",
-        );
-        self.meta(
-            PID_SIMULATE,
-            self.lanes.len() as u64 + 2,
-            "thread_name",
-            "block cache",
         );
     }
 
@@ -392,30 +386,6 @@ impl<W: Write> TraceSink for TimelineSink<W> {
                 out.push_str(r#","cause":"#);
                 escape_into(cause, out);
             }
-            out.push_str("}}");
-        });
-    }
-
-    fn block_replay(&mut self, event: &BlockReplayEvent) {
-        self.ensure_pipeline_meta();
-        // Instant marker on the dedicated "block cache" lane at the block's
-        // entry cycle — entry cycles are nondecreasing, so the lane keeps
-        // the validator's monotone-timestamp invariant.
-        let tid = self.lanes.len() as u64 + 2;
-        let name = if event.hit { "replay" } else { "fallback" };
-        self.emit(|out| {
-            out.push_str(r#"{"ph":"i","pid":2,"tid":"#);
-            push_uint(out, tid);
-            out.push_str(r#","ts":"#);
-            push_uint(out, event.cycle);
-            out.push_str(r#","s":"t","name":"#);
-            escape_into(name, out);
-            out.push_str(r#","args":{"func":"#);
-            push_uint(out, u64::from(event.func));
-            out.push_str(r#","pc":"#);
-            push_uint(out, event.pc);
-            out.push_str(r#","instructions":"#);
-            push_uint(out, u64::from(event.instructions));
             out.push_str("}}");
         });
     }
@@ -659,26 +629,6 @@ mod tests {
                 .build()
         }
 
-        pub fn block_replay(tid: u64, replay: &BlockReplayEvent) -> JsonValue {
-            let name = if replay.hit { "replay" } else { "fallback" };
-            event("i", PID_SIMULATE, tid)
-                .field("ts", JsonValue::UInt(replay.cycle))
-                .field("s", JsonValue::str("t"))
-                .field("name", JsonValue::str(name))
-                .field(
-                    "args",
-                    JsonObject::new()
-                        .field("func", JsonValue::UInt(u64::from(replay.func)))
-                        .field("pc", JsonValue::UInt(replay.pc))
-                        .field(
-                            "instructions",
-                            JsonValue::UInt(u64::from(replay.instructions)),
-                        )
-                        .build(),
-                )
-                .build()
-        }
-
         /// The span or cache-hit marker of one item, then its quarantine
         /// marker when the status is not `"ok"`.
         pub fn sweep_item(item: &SweepItem<'_>) -> Vec<JsonValue> {
@@ -755,19 +705,6 @@ mod tests {
         };
         let odd = issue(1, ODD, 0, 1);
         let add = issue(2, "intadd", 2, 3);
-        let hit = BlockReplayEvent {
-            func: 1,
-            pc: 4,
-            cycle: 2,
-            instructions: 3,
-            hit: true,
-        };
-        let fallback = BlockReplayEvent {
-            cycle: 5,
-            instructions: 1,
-            hit: false,
-            ..hit
-        };
         let item = |worker, start_us, end_us, cached, cell, workload, status| SweepItem {
             worker,
             start_us,
@@ -789,9 +726,7 @@ mod tests {
         sink.phase(&schedule);
         sink.issue(&load);
         sink.issue(&odd);
-        sink.block_replay(&hit);
         sink.issue(&add);
-        sink.block_replay(&fallback);
         for item in [&ok, &cached, &quarantined] {
             sink.sweep_item(item);
         }
@@ -806,14 +741,11 @@ mod tests {
             reference::meta(PID_SIMULATE, 1, "thread_name", "integer"),
             reference::meta(PID_SIMULATE, 2, "thread_name", ODD),
             reference::meta(PID_SIMULATE, 3, "thread_name", "other"),
-            reference::meta(PID_SIMULATE, 4, "thread_name", "block cache"),
             reference::issue(2, &load),
             reference::issue(3, &odd),
-            reference::block_replay(4, &hit),
             reference::counter(0, "ipc", 2),
             reference::counter(2, "inflight", 1),
             reference::issue(1, &add),
-            reference::block_replay(4, &fallback),
             reference::meta(PID_SWEEP, 0, "process_name", "sweep"),
             reference::meta(PID_SWEEP, 1, "thread_name", "worker 0"),
         ];

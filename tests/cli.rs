@@ -282,6 +282,30 @@ fn run_reports_merged_class_and_account_table() {
     }
 }
 
+#[test]
+fn run_cache_adds_one_cache_line_to_the_run_report() {
+    let run = |extra: &[&str]| {
+        let output = titalc()
+            .args(["-m", "cray1"])
+            .args(extra)
+            .arg(fixture("profile.tital"))
+            .output()
+            .expect("spawn titalc");
+        assert!(output.status.success(), "run {extra:?} failed");
+        stdout(&output)
+    };
+    let plain = run(&[]);
+    let cached = run(&["--cache"]);
+    let extra = cached
+        .strip_prefix(plain.as_str())
+        .unwrap_or_else(|| panic!("`run --cache` changed the run report:\n{cached}"));
+    assert_eq!(extra.lines().count(), 1, "extra output:\n{extra}");
+    assert!(
+        extra.starts_with("caches (8KiB):  I-miss "),
+        "extra output:\n{extra}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // titalc analyze --loops and titalc bound
 // ---------------------------------------------------------------------------

@@ -324,13 +324,19 @@ fn unrolling_preserves_semantics() {
     }
 }
 
-/// Timing-model invariants on arbitrary instruction streams: issue
-/// times never decrease, completions respect latencies, and no cycle
-/// issues more than the machine width.
+/// Timing-model invariants on generated instruction streams: issue times
+/// never decrease, completions respect latencies, no cycle issues more
+/// than the machine width, and no instruction issues before the last
+/// writer of a register it reads (RAW) or writes (conservative WAW) has
+/// completed. The streams are [`random_region`] code with its real
+/// classes, operands and destinations, interleaved with conditional
+/// branches on its registers and jumps, so every instruction class occurs;
+/// both interlocks must bind somewhere.
 #[test]
 fn timing_model_invariants() {
-    use supersym::isa::{FpReg, InstrClass, IntReg, Reg};
-    use supersym::sim::{ControlEvent, StepInfo, TimingModel};
+    use supersym::isa::{Instr, InstrClass, IntReg, Label, Reg};
+    use supersym::sim::{ControlEvent, StallCause, StepInfo, TimingModel};
+    let (mut raw_bound, mut waw_bound) = (0_u32, 0_u32);
     for seed in 0..24_u64 {
         let width = 1 + (seed % 5) as u32;
         let degree = 1 + (seed / 5 % 4) as u32;
@@ -339,29 +345,37 @@ fn timing_model_invariants() {
         let mut rng = Rng::new(seed);
         let mut last_issue = 0_u64;
         let mut issued_at: std::collections::HashMap<u64, u32> = Default::default();
-        for pc in 0..200_usize {
-            let class = InstrClass::ALL[rng.below(supersym::isa::NUM_CLASSES as u64) as usize];
-            let def = if class.is_memory() || class.is_control() {
-                None
-            } else if class.index() >= InstrClass::FpAdd.index() {
-                Some(Reg::Fp(FpReg::new_unchecked(1 + rng.below(15) as u8)))
-            } else {
-                Some(Reg::Int(IntReg::new_unchecked(1 + rng.below(15) as u8)))
+        // Completion of each register's last writer: the streams are
+        // scalar, so a result is ready at `complete`.
+        let mut written: std::collections::HashMap<Reg, u64> = Default::default();
+        for (pc, region) in random_region(&mut rng, 200).into_iter().enumerate() {
+            let (instr, control) = match rng.below(8) {
+                0 => (
+                    Instr::Br {
+                        cond: IntReg::new_unchecked(1 + rng.below(20) as u8),
+                        expect: true,
+                        target: Label::new(0),
+                    },
+                    ControlEvent::Branch { taken: rng.coin() },
+                ),
+                1 => (
+                    Instr::Jmp {
+                        target: Label::new(0),
+                    },
+                    ControlEvent::Jump,
+                ),
+                _ => (region, ControlEvent::None),
             };
+            let class = instr.class();
             let mem = class
                 .is_memory()
                 .then(|| (rng.below(64) as usize, class == InstrClass::Store));
-            let control = if class == InstrClass::Branch {
-                ControlEvent::Branch { taken: rng.coin() }
-            } else {
-                ControlEvent::None
-            };
             let info = StepInfo {
                 func: supersym::isa::FuncId::new(0),
                 pc,
                 class,
-                uses: Default::default(),
-                def,
+                uses: instr.uses(),
+                def: instr.def(),
                 mem,
                 vlen: 0,
                 control,
@@ -382,10 +396,30 @@ fn timing_model_invariants() {
                 "seed {seed}: cycle {} over width",
                 record.issue
             );
+            for reg in info.uses.iter().chain(info.def) {
+                if let Some(&complete) = written.get(&reg) {
+                    assert!(
+                        record.issue >= complete,
+                        "seed {seed}: `{instr}` at pc {pc} issued in cycle {} \
+                         before {reg:?}'s last writer completed in cycle {complete}",
+                        record.issue
+                    );
+                }
+            }
+            match record.cause {
+                Some(StallCause::RawInterlock { .. }) => raw_bound += 1,
+                Some(StallCause::WawInterlock { .. }) => waw_bound += 1,
+                _ => {}
+            }
+            if let Some(def) = info.def {
+                written.insert(def, record.complete);
+            }
             last_issue = record.issue;
         }
         assert_eq!(timing.instructions(), 200);
     }
+    assert!(raw_bound > 0, "RAW never bound");
+    assert!(waw_bound > 0, "WAW never bound");
 }
 
 /// The cache never reports more misses than accesses, and a repeated
@@ -896,32 +930,6 @@ fn cycle_account_conserves_and_is_deterministic() {
     }
 }
 
-/// Folds every field of every issue event into one hash, so two runs'
-/// event streams compare without keeping them.
-#[derive(Default)]
-struct IssueStreamHash {
-    hasher: std::hash::DefaultHasher,
-    events: u64,
-}
-
-impl supersym::trace::TraceSink for IssueStreamHash {
-    fn issue(&mut self, e: &supersym::trace::IssueEvent) {
-        use std::hash::Hash;
-        (
-            e.func, e.pc, e.class, e.issue, e.complete, e.drain, e.wait, e.cause,
-        )
-            .hash(&mut self.hasher);
-        self.events += 1;
-    }
-}
-
-impl IssueStreamHash {
-    fn digest(&self) -> (u64, u64) {
-        use std::hash::Hasher;
-        (self.events, self.hasher.finish())
-    }
-}
-
 /// The block timing cache is bit-exact, not approximate: with the cache
 /// on and off, every preset machine produces byte-identical reports —
 /// cycle account, machine cycles, instruction count, census, and
@@ -930,14 +938,16 @@ impl IssueStreamHash {
 /// programs (which hit the fallback and overflow paths). Errors must
 /// also agree: a trapped or fuel-exhausted run traps identically.
 ///
-/// The sink-attached path is held to the same law: its issue-event
-/// stream is identical with the cache on and off, and a cached sink run
-/// reports exactly what the sink-less cached run does, block-cache
-/// counters included.
+/// The runs that observe instructions take the exact loop whatever the
+/// options say, and are held to the same law: a sink run and an I/D-cache
+/// run each report exactly what the sink-less runs do, cache on and off.
 #[test]
 fn block_cache_is_bit_exact_on_all_presets() {
     use supersym::isa::{Function, Instr, Program};
-    use supersym::sim::{simulate, simulate_with_sink, SimError, SimReport};
+    use supersym::sim::{
+        simulate, simulate_with_cache, simulate_with_sink, CacheConfig, SimError, SimReport,
+    };
+    use supersym::trace::NullSink;
     use supersym_torture::mutate::mutate_source;
 
     let machines = presets::study();
@@ -999,27 +1009,17 @@ fn block_cache_is_bit_exact_on_all_presets() {
     }
 
     let differ = |label: &str, machine: &supersym::machine::MachineConfig, program: &Program| {
-        let name = machine.name();
+        let what = format!("{label} on {}", machine.name());
         let a = simulate(program, machine, cached);
         let b = simulate(program, machine, exact);
-        let mut cached_stream = IssueStreamHash::default();
-        let mut exact_stream = IssueStreamHash::default();
-        let a_sink = simulate_with_sink(program, machine, cached, &mut cached_stream);
-        let b_sink = simulate_with_sink(program, machine, exact, &mut exact_stream);
-        let completed = same_outcome(&format!("{label} on {name}"), &a, &b);
-        assert_eq!(
-            cached_stream.digest(),
-            exact_stream.digest(),
-            "{label} on {name}: issue-event streams diverge"
-        );
-        same_outcome(&format!("{label} on {name}, exact sink"), &b_sink, &b);
-        same_outcome(&format!("{label} on {name}, cached sink"), &a_sink, &a);
-        if let (Ok(a), Ok(a_sink)) = (&a, &a_sink) {
-            assert_eq!(
-                a_sink.block_cache_stats(),
-                a.block_cache_stats(),
-                "{label} on {name}: the sink run's block-cache counters diverge"
-            );
+        let sink = simulate_with_sink(program, machine, cached, &mut NullSink);
+        let small = CacheConfig::small_direct();
+        let caches =
+            simulate_with_cache(program, machine, cached, small, small).map(|(report, _)| report);
+        let completed = same_outcome(&what, &a, &b);
+        for (run, observed) in [("sink", &sink), ("I/D-cache", &caches)] {
+            same_outcome(&format!("{what}, {run} run vs cache on"), observed, &a);
+            same_outcome(&format!("{what}, {run} run vs cache off"), observed, &b);
         }
         completed
     };
